@@ -20,16 +20,15 @@
 // With -json, one JSON object per grid cell is emitted (newline delimited)
 // for machine consumption (BENCH_*.json trajectories) — measured cells carry
 // p50_us/p95_us/p99_us completion-latency percentiles next to throughput,
-// and recovery cells add recovery_ms/log_bytes/replay_txns —
-// followed by one perf record per experiment ("perf":true) carrying wall
-// time, events/sec and allocs/txn; text mode prints the same perf line as a
-// comment and a p99 column per measured series.
+// and recovery cells add recovery_ms/log_bytes/replay_txns; text mode prints
+// a p99 column per measured series. Every number is virtual-time and
+// deterministic; host-side cost is the benchmark/ module's job
+// (BENCHMARK.json).
 //
 // With -baseline, every cell is also compared against the named BENCH_*.json
 // file: a throughput more than -tolerance (fractional, default 0.25) below
 // the committed value fails the run with exit status 1. Cell throughputs are
-// virtual-time and deterministic, so the comparison is host-independent;
-// perf records in the baseline are informational and never compared.
+// virtual-time and deterministic, so the comparison is host-independent.
 package main
 
 import (
@@ -47,7 +46,7 @@ func main() {
 		expID      = flag.String("experiment", "all", "experiment id (fig4..fig10, table1, table2, ablation-*, latency-openloop, zipf-skew, recovery-checkpoint, durable-overhead, mvcc-crossover, occ-retry, ycsb-scan, parallel-speedup, elastic-split, or all)")
 		quick      = flag.Bool("quick", false, "shorter measurement windows and coarser sweeps")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonOut    = flag.Bool("json", false, "emit newline-delimited JSON, one object per grid cell plus perf records")
+		jsonOut    = flag.Bool("json", false, "emit newline-delimited JSON, one object per grid cell")
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		shards     = flag.Int("shards", 0, "run microbenchmark cells on the sharded parallel runtime at this width (0 = plain single-threaded scheduler; TPC-C cells always stay plain)")
 		list       = flag.Bool("list", false, "list experiments and exit")
@@ -126,14 +125,10 @@ func run(exps []bench.Experiment, opts bench.Opts, base []bench.BaselineCell,
 
 	var fresh []bench.BaselineCell
 	for _, e := range exps {
-		series, perf := bench.MeasurePerf(e, opts)
+		series := e.Run(opts)
 		switch {
 		case jsonOut:
 			if err := bench.FormatJSON(os.Stdout, e, series); err != nil {
-				fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-				return 1
-			}
-			if err := bench.FormatPerfJSON(os.Stdout, perf); err != nil {
 				fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
 				return 1
 			}
@@ -141,7 +136,6 @@ func run(exps []bench.Experiment, opts bench.Opts, base []bench.BaselineCell,
 			bench.FormatCSV(os.Stdout, e, series)
 		default:
 			bench.Format(os.Stdout, e, series)
-			bench.FormatPerf(os.Stdout, perf)
 		}
 		if base != nil {
 			fresh = append(fresh, bench.SeriesCells(e, series)...)

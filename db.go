@@ -162,30 +162,18 @@ type DB struct {
 	sch       sim.Runtime
 	// shsch is the sharded runtime when WithParallelism is configured (the
 	// same object sch points at); nil on the single-threaded path.
-	shsch     *sim.ShardedScheduler
-	net       *simnet.Net
-	parts     []*partition.Partition
-	partIDs   []sim.ActorID
-	backups   [][]*replication.Backup
-	backupIDs [][]sim.ActorID
+	shsch *sim.ShardedScheduler
+	net   *simnet.Net
+	// groups holds each partition's process group, indexed by partition.
+	groups    []replicaGroup
 	coord     *coordinator.Coordinator
 	coordID   sim.ActorID
 	clients   []*client.Client
 	clientIDs []sim.ActorID
 	collector *metrics.Collector
-	// loggers holds each partition's command log (nil entries — and a nil
-	// slice — when durability is off). restarters holds the crash-restart
-	// actors, indexed by partition; entries exist only for partitions with a
-	// scheduled CrashRestart fault.
-	loggers      []*durable.Logger
-	restarters   []*replication.Restarter
-	restarterIDs []sim.ActorID
 	// faultCtlID is the fault-injection controller actor (0 when the run
 	// has no fault schedule).
 	faultCtlID sim.ActorID
-	// histories holds each partition's serializability-oracle trace when
-	// the test-only withHistory option is set (nil otherwise).
-	histories []*oracle.PartitionHistory
 
 	started bool
 	// cursor is the virtual time the simulation has been driven to (the
@@ -291,61 +279,54 @@ func Open(opts ...Option) (*DB, error) {
 			DiskLatency:      d.DiskLatency,
 			DiskBandwidth:    d.DiskBandwidth,
 		}
-		db.loggers = make([]*durable.Logger, cfg.partitions)
 	}
 
 	// Partitions (primaries), each with its own log disk when durable.
-	for p := 0; p < cfg.partitions; p++ {
+	db.groups = make([]replicaGroup, cfg.partitions)
+	for p := range db.groups {
+		g := &db.groups[p]
 		store := storage.NewStore()
 		if cfg.setup != nil {
 			cfg.setup(PartitionID(p), store)
 		}
-		var lg *durable.Logger
 		if cfg.durable != nil {
 			diskID := db.sch.Register(fmt.Sprintf("disk-%d", p),
 				&durable.Disk{Latency: durCfg.DiskLatency, Bandwidth: durCfg.DiskBandwidth})
 			db.assign(diskID, db.groupShard(p))
-			lg = durable.NewLogger(durCfg, diskID)
-			db.loggers[p] = lg
+			g.logger = durable.NewLogger(durCfg, diskID)
 		}
-		var hist *oracle.PartitionHistory
 		if cfg.history {
-			hist = oracle.NewPartitionHistory()
-			db.histories = append(db.histories, hist)
+			g.history = oracle.NewPartitionHistory()
 		}
-		part := partition.New(partition.Config{
+		g.primary = partition.New(partition.Config{
 			ID:            PartitionID(p),
 			Store:         store,
 			Registry:      cfg.registry,
 			Costs:         &db.costModel,
 			Net:           db.net,
-			Logger:        lg,
+			Logger:        g.logger,
 			Heartbeat:     det.Heartbeat,
 			DetectTimeout: det.Timeout,
 			Rec:           db.collector,
-			History:       hist,
+			History:       g.history,
 		})
-		id := db.sch.Register(fmt.Sprintf("partition-%d", p), part)
-		db.assign(id, db.groupShard(p))
-		if lg != nil {
-			lg.Bind(id)
-			lg.InstallInitial(store)
+		g.primaryID = db.sch.Register(fmt.Sprintf("partition-%d", p), g.primary)
+		db.assign(g.primaryID, db.groupShard(p))
+		if g.logger != nil {
+			g.logger.Bind(g.primaryID)
+			g.logger.InstallInitial(store)
 		}
-		db.parts = append(db.parts, part)
-		db.partIDs = append(db.partIDs, id)
 	}
 	// Backups.
-	db.backups = make([][]*replication.Backup, cfg.partitions)
-	db.backupIDs = make([][]sim.ActorID, cfg.partitions)
-	for p := 0; p < cfg.partitions; p++ {
-		var ids []sim.ActorID
+	for p := range db.groups {
+		g := &db.groups[p]
 		for r := 1; r < cfg.replicas; r++ {
 			store := storage.NewStore()
 			if cfg.setup != nil {
 				cfg.setup(PartitionID(p), store)
 			}
 			b := replication.New(store, cfg.registry, &db.costModel, db.net)
-			b.Primary = db.partIDs[p]
+			b.Primary = g.primaryID
 			b.Partition = PartitionID(p)
 			b.Replica = r
 			b.Heartbeat = det.Heartbeat
@@ -354,65 +335,57 @@ func Open(opts ...Option) (*DB, error) {
 			id := db.sch.Register(fmt.Sprintf("backup-%d-%d", p, r), b)
 			db.assign(id, db.groupShard(p))
 			b.Bind(id)
-			ids = append(ids, id)
-			db.backups[p] = append(db.backups[p], b)
+			g.backups = append(g.backups, b)
+			g.backupIDs = append(g.backupIDs, id)
 		}
-		db.backupIDs[p] = ids
-		db.parts[p].SetBackups(ids)
+		// The primary compacts its copy in place when it detaches a crashed
+		// backup; the group's list stays the full roster.
+		g.primary.SetBackups(append([]sim.ActorID(nil), g.backupIDs...))
 		// Each backup's peers are the partition's other backups.
-		for r, b := range db.backups[p] {
-			var peers []sim.ActorID
-			for q, id := range ids {
+		for r, b := range g.backups {
+			for q, id := range g.backupIDs {
 				if q != r {
-					peers = append(peers, id)
+					b.Peers = append(b.Peers, id)
 				}
 			}
-			b.Peers = peers
 		}
 	}
 	// Central coordinator (blocking and speculation schemes). It owns its
 	// partition table: failovers re-target entries independently of the
 	// clients' copies.
-	db.coord = coordinator.New(cfg.registry, cat, &db.costModel, db.net,
-		append([]sim.ActorID(nil), db.partIDs...))
+	db.coord = coordinator.New(cfg.registry, cat, &db.costModel, db.net, db.primaryIDs())
 	db.coord.Rec = db.collector
 	db.coordID = db.sch.Register("coordinator", db.coord)
 	db.assign(db.coordID, 0)
 	db.coord.Bind(db.coordID)
-	for p := range db.backups {
-		for _, b := range db.backups[p] {
+	for p := range db.groups {
+		for _, b := range db.groups[p].backups {
 			b.Coordinator = db.coordID
 		}
 	}
 	// Restarters, for partitions with a scheduled crash-restart fault.
-	db.restarters = make([]*replication.Restarter, cfg.partitions)
-	db.restarterIDs = make([]sim.ActorID, cfg.partitions)
 	for _, ev := range cfg.faults {
 		if ev.Kind != fault.KindCrashRestart {
 			continue
 		}
 		p := int(ev.Partition)
-		r := replication.NewRestarter(db.loggers[p], cfg.registry, &db.costModel, db.net)
+		g := &db.groups[p]
+		r := replication.NewRestarter(g.logger, cfg.registry, &db.costModel, db.net)
 		r.Partition = ev.Partition
 		r.Coordinator = db.coordID
 		r.Rec = db.collector
-		id := db.sch.Register(fmt.Sprintf("restarter-%d", p), r)
-		db.assign(id, db.groupShard(p))
-		r.Bind(id)
-		db.restarters[p] = r
-		db.restarterIDs[p] = id
+		g.restarter = r
+		g.restarterID = db.sch.Register(fmt.Sprintf("restarter-%d", p), r)
+		db.assign(g.restarterID, db.groupShard(p))
+		r.Bind(g.restarterID)
 	}
 
 	// Bind partition engines.
 	factory := db.engineFactory(cfg.scheme)
-	for p := 0; p < cfg.partitions; p++ {
-		db.parts[p].Bind(db.partIDs[p], factory)
-		for _, b := range db.backups[p] {
-			b.EngineFactory = factory
-		}
-		if r := db.restarters[p]; r != nil {
-			r.EngineFactory = factory
-		}
+	for p := range db.groups {
+		g := &db.groups[p]
+		g.primary.Bind(g.primaryID, factory)
+		g.setEngineFactory(factory)
 	}
 	db.shapeWorkload(cfg.workload)
 	if cfg.parallel != nil && cfg.onComplete != nil {
@@ -437,7 +410,7 @@ func Open(opts ...Option) (*DB, error) {
 			Metrics:     db.collector,
 			Scheme:      cfg.scheme,
 			Coordinator: db.coordID,
-			Parts:       append([]sim.ActorID(nil), db.partIDs...),
+			Parts:       db.primaryIDs(),
 			Gen:         cfg.workload,
 			Index:       i,
 			Arrival:     cfg.arrivalFor(i),
@@ -458,9 +431,8 @@ func Open(opts ...Option) (*DB, error) {
 	if len(cfg.faults) > 0 {
 		ctl := &fault.Controller{
 			Rec:          db.collector,
-			Primaries:    db.partIDs,
-			Backups:      db.backupIDs,
-			Restarters:   db.restarterIDs,
+			Victim:       db.victim,
+			Restarter:    func(p PartitionID) sim.ActorID { return db.groups[p].restarterID },
 			RestartDelay: det.Timeout,
 			// On the sharded runtime crashes are pre-registered as KillAt
 			// markers in the victim's shard (see ensureStarted); the
@@ -495,6 +467,20 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	return db, nil
 }
+
+// primaryIDs returns a fresh copy of the original primaries' actor IDs, the
+// partition table the coordinator and every client start from (failovers
+// re-target their copies independently).
+func (db *DB) primaryIDs() []sim.ActorID {
+	ids := make([]sim.ActorID, len(db.groups))
+	for p := range db.groups {
+		ids[p] = db.groups[p].primaryID
+	}
+	return ids
+}
+
+// victim returns the actor a scheduled fault kills.
+func (db *DB) victim(ev fault.Event) sim.ActorID { return db.groups[ev.Partition].victim(ev) }
 
 // assign places an actor on a shard of the parallel runtime; it is a no-op
 // on the single-threaded path. Placement happens immediately after
@@ -575,24 +561,18 @@ func (db *DB) ensureStarted() {
 			// is static, so pre-register a kill marker at the fault time; the
 			// controller records metrics and drives restarts but skips the
 			// kill itself (fault.Controller.SkipKill).
-			var victim sim.ActorID
-			switch ev.Kind {
-			case fault.KindCrashBackup:
-				victim = db.backupIDs[ev.Partition][ev.Replica-1]
-			default:
-				victim = db.partIDs[ev.Partition]
-			}
-			db.shsch.KillAt(ev.At, victim)
+			db.shsch.KillAt(ev.At, db.victim(ev))
 		}
+		g := &db.groups[ev.Partition]
 		switch ev.Kind {
 		case fault.KindCrashPrimary:
-			db.sch.SendAt(0, db.partIDs[ev.Partition], msg.StartPulse{})
-			for _, bid := range db.backupIDs[ev.Partition] {
+			db.sch.SendAt(0, g.primaryID, msg.StartPulse{})
+			for _, bid := range g.backupIDs {
 				db.sch.SendAt(0, bid, msg.StartMonitor{})
 			}
 		case fault.KindCrashBackup:
-			db.sch.SendAt(0, db.partIDs[ev.Partition], msg.StartMonitor{})
-			for _, bid := range db.backupIDs[ev.Partition] {
+			db.sch.SendAt(0, g.primaryID, msg.StartMonitor{})
+			for _, bid := range g.backupIDs {
 				db.sch.SendAt(0, bid, msg.StartPulse{})
 			}
 		case fault.KindCrashRestart:
@@ -603,55 +583,14 @@ func (db *DB) ensureStarted() {
 	}
 }
 
-// livePrimary returns the partition process currently serving p: the
-// original primary, or — after a failover or crash-restart — the promoted
-// backup's or restarted process's inner partition.
+// livePrimary returns the partition process currently serving p.
 func (db *DB) livePrimary(p int) *partition.Partition {
-	for _, b := range db.backups[p] {
-		if inner := b.Promoted(); inner != nil {
-			return inner
-		}
-	}
-	if r := db.restarters[p]; r != nil {
-		if inner := r.Promoted(); inner != nil {
-			return inner
-		}
-	}
-	return db.parts[p]
+	live, _ := db.groups[p].live()
+	return live
 }
 
-// livePrimaryID returns the actor currently serving partition p — the
-// original primary's actor, or the promoted backup's / restarter's (their
-// Receive delegates normal partition traffic to the inner process).
-func (db *DB) livePrimaryID(p int) sim.ActorID {
-	for i, b := range db.backups[p] {
-		if b.Promoted() != nil {
-			return db.backupIDs[p][i]
-		}
-	}
-	if r := db.restarters[p]; r != nil && r.Promoted() != nil {
-		return db.restarterIDs[p]
-	}
-	return db.partIDs[p]
-}
-
-// partBusy returns partition p's cumulative virtual CPU time, folding a
-// promoted backup's or restarted process's actor on top of the dead
-// primary's (the same fold Result's utilization uses).
-func (db *DB) partBusy(p int) Time {
-	busy := db.sch.BusyTime(db.partIDs[p])
-	if db.livePrimary(p) != db.parts[p] {
-		for i, b := range db.backups[p] {
-			if b.Promoted() != nil {
-				busy += db.sch.BusyTime(db.backupIDs[p][i])
-			}
-		}
-		if r := db.restarters[p]; r != nil && r.Promoted() != nil {
-			busy += db.sch.BusyTime(db.restarterIDs[p])
-		}
-	}
-	return busy
-}
+// partBusy returns partition p's cumulative virtual CPU time.
+func (db *DB) partBusy(p int) Time { return db.groups[p].busy(db.sch) }
 
 // syncCursor advances the drive cursor to the scheduler clock after stepping
 // primitives that do not run toward an explicit horizon.
@@ -912,20 +851,14 @@ func (db *DB) setScheme(sc Scheme, auto bool) error {
 	}
 	if db.started {
 		if err := db.drainQuiesce(); err != nil {
-			db.resumeClients() // never leave the cluster paused
 			return err
 		}
 	}
 	factory := db.engineFactory(sc)
-	for p := range db.backups {
-		for _, b := range db.backups[p] {
-			b.EngineFactory = factory
-		}
-		if r := db.restarters[p]; r != nil {
-			r.EngineFactory = factory
-		}
+	for p := range db.groups {
+		db.groups[p].setEngineFactory(factory)
 	}
-	for p := range db.parts {
+	for p := range db.groups {
 		if err := db.livePrimary(p).SwapEngine(factory); err != nil {
 			// Unreachable after a successful drain (drainQuiesce verified
 			// every partition quiescent); resume rather than poison the DB.
@@ -963,30 +896,32 @@ func (db *DB) resumeClients() {
 }
 
 // drainQuiesce pauses every client and steps the simulation until the
-// cluster reaches a quiescent point: all clients idle between transactions,
-// the coordinator holding no undecided transactions, and every partition
-// free of transaction state. Closed-loop clients guarantee the drain
-// terminates — each has at most one transaction in flight.
+// cluster reaches a quiescent point (see Quiescent). Closed-loop clients
+// guarantee the drain terminates — each has at most one transaction in
+// flight. A stalled drain resumes the clients before reporting the error: the
+// cluster is never left paused.
 func (db *DB) drainQuiesce() error {
 	for _, cl := range db.clients {
 		cl.Pause()
 	}
-	for !db.quiescent() {
-		if !db.sch.Step() {
-			break
-		}
+	for !db.Quiescent() && db.sch.Step() {
 	}
 	db.syncCursor()
-	if !db.quiescent() {
-		return fmt.Errorf("specdb: scheme switch drain stalled before quiescence")
+	if !db.Quiescent() {
+		db.resumeClients()
+		return fmt.Errorf("specdb: drain stalled before quiescence")
 	}
 	return nil
 }
 
-// quiescent reports whether no transaction is active or in flight anywhere.
-// After a failover the promoted backup's partition stands in for the dead
-// primary, whose frozen in-crash state no longer matters.
-func (db *DB) quiescent() bool {
+// Quiescent reports whether the cluster holds no transaction state: every
+// client is idle (its generator exhausted or paused), the coordinator has no
+// undecided transactions, no takeover is still resolving old-world
+// transactions, and the engine of every partition's live process is empty (a
+// dead primary's frozen in-crash state no longer matters). In a run with
+// faults the event queue may still hold failure-detector machinery, so
+// Quiescent — not an empty queue — is the "workload finished" signal.
+func (db *DB) Quiescent() bool {
 	for _, cl := range db.clients {
 		if !cl.Idle() {
 			return false
@@ -995,28 +930,13 @@ func (db *DB) quiescent() bool {
 	if db.coord.Pending() > 0 {
 		return false
 	}
-	for p := range db.parts {
-		for _, b := range db.backups[p] {
-			if b.Recovering() {
-				return false
-			}
-		}
-		if r := db.restarters[p]; r != nil && r.Recovering() {
-			return false
-		}
-		if !db.livePrimary(p).Quiescent() {
+	for p := range db.groups {
+		if db.groups[p].recovering() || !db.livePrimary(p).Quiescent() {
 			return false
 		}
 	}
 	return true
 }
-
-// Quiescent reports whether the cluster holds no transaction state: every
-// client is idle (its generator exhausted or paused), the coordinator has no
-// undecided transactions, and every partition's engine is empty. In a run
-// with faults the event queue may still hold failure-detector machinery, so
-// Quiescent — not an empty queue — is the "workload finished" signal.
-func (db *DB) Quiescent() bool { return db.quiescent() }
 
 // advisorTick evaluates one advisor interval over the collector's totals and
 // applies the recommended switch, if any.
@@ -1051,8 +971,8 @@ func (db *DB) advisorTick() {
 func (db *DB) elasticTick() {
 	span := db.cursor - db.elAt
 	db.elAt = db.cursor
-	busy := make([]Time, len(db.parts))
-	for p := range db.parts {
+	busy := make([]Time, len(db.groups))
+	for p := range db.groups {
 		b := db.partBusy(p)
 		busy[p] = b - db.elBusy[p]
 		db.elBusy[p] = b
@@ -1093,18 +1013,17 @@ func (db *DB) Migrate(from, to PartitionID) error {
 // forwarding and group-commit paths, so replicas converge and crash-restart
 // replays the move.
 func (db *DB) migrate(from, to int, auto bool) error {
-	if from == to || from < 0 || from >= len(db.parts) || to < 0 || to >= len(db.parts) {
-		return fmt.Errorf("%w (migrate %d -> %d of %d partitions)", ErrBadElasticity, from, to, len(db.parts))
+	if from == to || from < 0 || from >= len(db.groups) || to < 0 || to >= len(db.groups) {
+		return fmt.Errorf("%w (migrate %d -> %d of %d partitions)", ErrBadElasticity, from, to, len(db.groups))
 	}
 	triggered := db.cursor
 	if db.started {
 		if err := db.drainQuiesce(); err != nil {
-			db.resumeClients() // never leave the cluster paused
 			return err
 		}
 	}
-	donor := db.livePrimary(from)
-	dest := db.livePrimary(to)
+	donor, donorID := db.groups[from].live()
+	dest, destID := db.groups[to].live()
 	plan, ok := splitUpperHalf(donor.Store())
 	if !ok {
 		if db.etrig != nil {
@@ -1118,8 +1037,8 @@ func (db *DB) migrate(from, to int, auto bool) error {
 		cost += Time(float64(plan.bytes) / db.elCfg.CopyBandwidth * float64(Second))
 	}
 	wantIn := dest.MigrationsIn + 1
-	db.sch.SendAt(db.cursor, db.livePrimaryID(from), &msg.MigrateOut{
-		Lo: plan.lo, Hi: plan.hi, Dest: db.livePrimaryID(to), Cost: cost,
+	db.sch.SendAt(db.cursor, donorID, &msg.MigrateOut{
+		Lo: plan.lo, Hi: plan.hi, Dest: destID, Cost: cost,
 	})
 	for dest.MigrationsIn < wantIn {
 		if !db.sch.Step() {
@@ -1150,7 +1069,7 @@ func (db *DB) migrate(from, to int, auto bool) error {
 		// Rebase the busy baselines too — the copy itself spent donor and
 		// destination CPU that is not workload skew.
 		db.elAt = db.cursor
-		for p := range db.parts {
+		for p := range db.groups {
 			db.elBusy[p] = db.partBusy(p)
 		}
 	}
@@ -1276,30 +1195,23 @@ func (db *DB) snapshot(advance bool) Metrics {
 // frozen store is no longer reachable.
 func (db *DB) PartitionStore(p PartitionID) *Store { return db.livePrimary(int(p)).Store() }
 
-// BackupStores returns partition p's backup stores. A backup promoted to
-// primary by a failover is excluded — its store is the partition's primary
-// store (PartitionStore), not a replica of it, and including it would turn
-// replica-equivalence checks into self-comparisons.
-func (db *DB) BackupStores(p PartitionID) []*Store {
-	var out []*Store
-	for _, b := range db.backups[p] {
-		if b.Promoted() != nil {
-			continue
-		}
-		out = append(out, b.Store)
-	}
-	return out
-}
+// BackupStores returns the stores of partition p's live backup replicas. A
+// backup promoted to primary by a failover is excluded — its store is the
+// partition's primary store (PartitionStore), not a replica of it, and
+// including it would turn replica-equivalence checks into self-comparisons —
+// and so is a crashed backup, whose store froze at its crash.
+func (db *DB) BackupStores(p PartitionID) []*Store { return db.groups[p].replicaStores(db.sch) }
 
 // LogBytes returns a copy of partition p's command-log byte image — the
 // deterministic durable transcript of its committed transaction invocations.
 // It is the bit-identity surface the durability determinism tests compare:
 // same seed, same schedule, same bytes. Nil when durability is off.
 func (db *DB) LogBytes(p PartitionID) []byte {
-	if db.loggers == nil {
+	lg := db.groups[p].logger
+	if lg == nil {
 		return nil
 	}
-	return append([]byte(nil), db.loggers[p].Image()...)
+	return append([]byte(nil), lg.Image()...)
 }
 
 // Coordinator exposes coordinator counters (inspection).
@@ -1312,10 +1224,10 @@ func (db *DB) Clients() []*client.Client { return db.clients }
 // across every locking engine each partition has run — a locking era's
 // counters survive switching away. Nil when locking never ran.
 func (db *DB) lockStats() []locks.Stats {
-	out := make([]locks.Stats, 0, len(db.parts))
+	out := make([]locks.Stats, 0, len(db.groups))
 	ran := false
-	for p := range db.parts {
-		st, r := db.parts[p].LockTotals()
+	for p := range db.groups {
+		st, r := db.groups[p].primary.LockTotals()
 		out = append(out, st)
 		ran = ran || r
 	}

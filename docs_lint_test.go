@@ -56,44 +56,6 @@ func TestRootPackageExportedDocs(t *testing.T) {
 	}
 }
 
-// TestCompatShimDeprecated pins the migration contract: the legacy Run and
-// Config shims must carry a "Deprecated:" doc paragraph pointing callers at
-// Open, per the godoc deprecation convention.
-func TestCompatShimDeprecated(t *testing.T) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "compat.go", nil, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{"Run": false, "Config": false}
-	for _, decl := range file.Decls {
-		var name string
-		var doc *ast.CommentGroup
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			name, doc = d.Name.Name, d.Doc
-		case *ast.GenDecl:
-			if len(d.Specs) == 1 {
-				if s, ok := d.Specs[0].(*ast.TypeSpec); ok {
-					name, doc = s.Name.Name, d.Doc
-				}
-			}
-		}
-		if _, tracked := want[name]; !tracked || doc == nil {
-			continue
-		}
-		text := doc.Text()
-		if strings.Contains(text, "Deprecated: ") && strings.Contains(text, "Open") {
-			want[name] = true
-		}
-	}
-	for name, ok := range want {
-		if !ok {
-			t.Errorf("compat.go: %s lacks a Deprecated: doc paragraph pointing at Open", name)
-		}
-	}
-}
-
 // exportedRecv reports whether a method's receiver type (if any) is
 // exported; top-level functions count as exported receivers.
 func exportedRecv(d *ast.FuncDecl) bool {

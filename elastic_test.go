@@ -209,9 +209,9 @@ func TestElasticOracleAllSchemes(t *testing.T) {
 			if len(db.Migrations()) != 1 {
 				t.Fatalf("migrations = %+v", db.Migrations())
 			}
-			initial := initialStores(len(db.histories), setup)
+			initial := initialStores(len(db.histories()), setup)
 			committed := 0
-			for p, h := range db.histories {
+			for p, h := range db.histories() {
 				committed += h.Len()
 				if err := h.Verify(initial[p], db.PartitionStore(PartitionID(p))); err != nil {
 					t.Errorf("partition %d: %v", p, err)

@@ -2,6 +2,7 @@ package specdb
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -199,8 +200,19 @@ func TestFailoverDeterministic(t *testing.T) {
 }
 
 func TestCrashBackupReleasesGatedSends(t *testing.T) {
+	// k=2 loses partition 0's only backup; k=3 keeps one, which must go on
+	// replicating and end equal to the primary.
+	for _, replicas := range []int{2, 3} {
+		t.Run(fmt.Sprintf("k=%d", replicas), func(t *testing.T) {
+			testCrashBackup(t, replicas)
+		})
+	}
+}
+
+func testCrashBackup(t *testing.T, replicas int) {
 	led := newLedger()
 	db, err := Open(failoverOpts(t, Speculation, 100,
+		WithReplicas(replicas),
 		WithFaults(CrashBackup(0, 1, 10300*Microsecond)),
 		WithOnComplete(func(ci int, inv *Invocation, reply *Reply) {
 			led.observe(inv, reply)
@@ -237,6 +249,17 @@ func TestCrashBackupReleasesGatedSends(t *testing.T) {
 	// Partition 1's replication is untouched.
 	if err := storage.DiffStores(db.PartitionStore(1), db.BackupStores(1)[0]); err != nil {
 		t.Errorf("partition 1 backup diverged: %v", err)
+	}
+	// Partition 0's crashed backup froze mid-run and is no replica any more;
+	// every surviving one converged.
+	survivors := db.BackupStores(0)
+	if len(survivors) != replicas-2 {
+		t.Fatalf("partition 0 reports %d live backups, want %d", len(survivors), replicas-2)
+	}
+	for i, bs := range survivors {
+		if err := storage.DiffStores(db.PartitionStore(0), bs); err != nil {
+			t.Errorf("partition 0 surviving backup %d diverged: %v", i, err)
+		}
 	}
 }
 
@@ -329,7 +352,7 @@ func TestReplicaConvergenceUnderCascades(t *testing.T) {
 						t.Errorf("partition %d backup %d: %v", p, r+1, err)
 					}
 				}
-				for r, b := range db.backups[p] {
+				for r, b := range db.groups[p].backups {
 					if n := b.BufferedLen(); n != 0 {
 						t.Errorf("partition %d backup %d leaked %d buffered transactions", p, r+1, n)
 					}

@@ -8,13 +8,11 @@ import (
 )
 
 // BENCH_*.json files commit ccbench NDJSON output as performance baselines:
-// one JSON object per grid cell plus one perf record per experiment. The
-// cells are virtual-time throughput and therefore deterministic — the same
-// code, seed and options reproduce them bit for bit on any host — so CI can
-// diff a fresh run against the committed baseline and fail on regressions.
-// The perf records (events/sec, allocs/txn) are host-dependent and are
-// ignored by the comparison; they document the trajectory on the machine
-// that produced the baseline.
+// one JSON object per grid cell. The cells are virtual-time throughput and
+// therefore deterministic — the same code, seed and options reproduce them
+// bit for bit on any host — so CI can diff a fresh run against the committed
+// baseline and fail on regressions. Host-side cost is measured by the
+// benchmark/ module instead (BENCHMARK.json).
 
 // BaselineCell is one comparable measurement: a grid cell identified by
 // (experiment, series, x) with its throughput y.
@@ -41,7 +39,7 @@ func (c BaselineCell) key() string {
 }
 
 // ReadBaseline parses ccbench NDJSON, returning the grid cells and skipping
-// perf records and blank lines.
+// blank lines and the "perf":true host records older artifacts carry.
 func ReadBaseline(r io.Reader) ([]BaselineCell, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)

@@ -39,10 +39,6 @@ type Opts struct {
 	// knob: tpcc.Mix keeps state across clients and is restricted to the
 	// plain path.
 	Shards int
-	// Tally, when non-nil, accumulates every cell's events and completed
-	// transactions as the experiment runs — the simulator-side half of the
-	// host perf measurements (see MeasurePerf).
-	Tally *Tally
 }
 
 // DefaultOpts is the full-fidelity configuration used for EXPERIMENTS.md.
@@ -259,9 +255,7 @@ func runMicro(o Opts, c microCfg) specdb.Result {
 	if err != nil {
 		panic(fmt.Sprintf("bench: invalid micro config: %v", err))
 	}
-	r := db.Run()
-	o.tally(r)
-	return r
+	return db.Run()
 }
 
 // mpAxis sweeps the multi-partition fraction for one base configuration.
@@ -288,7 +282,6 @@ func sweepGrid(o Opts, name string, base microCfg, grid []float64) Series {
 	if err != nil {
 		panic(fmt.Sprintf("bench: sweep %s: %v", name, err))
 	}
-	o.tallyCells(cells)
 	s := Series{Name: name}
 	for _, cell := range cells {
 		s.Points = append(s.Points, pointFor(cell.Xs[0]*100, cell.Result))
@@ -441,7 +434,6 @@ func Figure8() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("bench: fig8: %v", err))
 			}
-			o.tallyCells(cells)
 			return schemeSeries(cells, schemes)
 		},
 	}
@@ -475,7 +467,6 @@ func Figure9() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("bench: fig9: %v", err))
 			}
-			o.tallyCells(cells)
 			series := schemeSeries(cells, schemes)
 			// Re-express the x-axis as the expected MP fraction.
 			for si := range series {
@@ -632,7 +623,6 @@ func AblationReplication() Experiment {
 				if err != nil {
 					panic(fmt.Sprintf("bench: replication sweep: %v", err))
 				}
-				o.tallyCells(cells)
 				s := Series{Name: schemeName(scheme)}
 				for _, cell := range cells {
 					s.Points = append(s.Points, pointFor(cell.Xs[0], cell.Result))

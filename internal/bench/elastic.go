@@ -41,7 +41,6 @@ func ElasticSplit() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("bench: elastic-split: %v", err))
 			}
-			o.tallyCells(cells)
 			return schemeSeries(cells, schemes)
 		},
 	}

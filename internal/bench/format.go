@@ -121,19 +121,6 @@ func FormatJSON(w io.Writer, e Experiment, series []Series) error {
 	return nil
 }
 
-// FormatPerf renders an experiment's host-side measurements as a comment
-// line under the text table.
-func FormatPerf(w io.Writer, p Perf) {
-	fmt.Fprintf(w, "# perf %s: %.2fs wall, %d cells, %.3gM events (%.3gM events/s), %d txns, %.1f allocs/txn\n\n",
-		p.Experiment, p.WallSeconds, p.Cells,
-		float64(p.Events)/1e6, p.EventsPerSec/1e6, p.Txns, p.AllocsPerTxn)
-}
-
-// FormatPerfJSON appends the perf record to an NDJSON stream.
-func FormatPerfJSON(w io.Writer, p Perf) error {
-	return json.NewEncoder(w).Encode(p)
-}
-
 func colWidth(name string) int {
 	if len(name) < 12 {
 		return 12

@@ -42,7 +42,6 @@ func LatencyOpenLoop() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("bench: latency-openloop: %v", err))
 			}
-			o.tallyCells(cells)
 			return schemeSeries(cells, schemes)
 		},
 	}
@@ -80,7 +79,6 @@ func ZipfSkew() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("bench: zipf-skew: %v", err))
 			}
-			o.tallyCells(cells)
 			return schemeSeries(cells, schemes)
 		},
 	}

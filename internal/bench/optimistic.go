@@ -51,7 +51,6 @@ func MVCCCrossover() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("bench: mvcc-crossover: %v", err))
 			}
-			o.tallyCells(cells)
 			return schemeSeries(cells, schemes)
 		},
 	}
@@ -90,7 +89,6 @@ func OCCRetry() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("bench: occ-retry: %v", err))
 			}
-			o.tallyCells(cells)
 			return schemeSeries(cells, schemes)
 		},
 	}

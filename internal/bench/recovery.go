@@ -66,7 +66,6 @@ func runRecovery(o Opts, c recoveryCfg) Point {
 		panic(fmt.Sprintf("bench: invalid recovery config: %v", err))
 	}
 	r := db.Run()
-	o.tally(r)
 	p := Point{X: c.ckptInterval.Micros() / 1000}
 	if len(r.Recovery) == 0 {
 		return p
@@ -148,7 +147,6 @@ func sweepExtra(o Opts, name string, base microCfg, grid []float64, extra ...spe
 	if err != nil {
 		panic(fmt.Sprintf("bench: sweep %s: %v", name, err))
 	}
-	o.tallyCells(cells)
 	s := Series{Name: name}
 	for _, cell := range cells {
 		s.Points = append(s.Points, pointFor(cell.Xs[0]*100, cell.Result))

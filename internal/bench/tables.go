@@ -81,7 +81,6 @@ func Table1() Experiment {
 			if err != nil {
 				panic(fmt.Sprintf("bench: table1: %v", err))
 			}
-			o.tallyCells(grid)
 			var out []Series
 			for i, c := range cells {
 				vals := map[string]float64{}

@@ -64,7 +64,6 @@ func YCSBScan() Experiment {
 				if err != nil {
 					panic(fmt.Sprintf("bench: ycsb-scan sweep %s: %v", sc.name, err))
 				}
-				o.tallyCells(cells)
 				s := Series{Name: sc.name}
 				for _, cell := range cells {
 					s.Points = append(s.Points, pointFor(cell.Xs[0]*100, cell.Result))

@@ -62,26 +62,11 @@ func (e *BlockingEngine) Fragment(f *msg.Fragment) {
 // start runs a fragment when the partition is idle.
 func (e *BlockingEngine) start(f *msg.Fragment) {
 	if !f.MultiPartition {
-		e.execSingle(f)
+		RunIdleSP(e.env, f, &e.stats)
 		return
 	}
 	e.active = &blockedTxn{id: f.Txn, frag: f}
 	e.execMultiFragment(e.active, f)
-}
-
-// execSingle runs a single-partition transaction to completion: no undo
-// buffer unless a user abort is possible, commit immediately (§3.2).
-func (e *BlockingEngine) execSingle(f *msg.Fragment) {
-	out := e.env.Execute(f, f.CanAbort, nil)
-	e.stats.Executed++
-	e.stats.FastPath++
-	e.env.Forget(f.Txn)
-	if out.Aborted {
-		e.stats.LocalAborts++
-		e.env.ReplyClient(f, newAbortReply(f, out.Output))
-		return
-	}
-	e.env.ReplyClient(f, newCommitReply(f, out.Output))
 }
 
 // execMultiFragment executes one fragment of the active multi-partition
@@ -94,13 +79,7 @@ func (e *BlockingEngine) execMultiFragment(t *blockedTxn, f *msg.Fragment) {
 	if out.Aborted {
 		e.stats.LocalAborts++
 	}
-	e.env.SendResult(f, &msg.FragmentResult{
-		Txn:       f.Txn,
-		Round:     f.Round,
-		Partition: f.Partition,
-		Output:    out.Output,
-		Aborted:   out.Aborted,
-	})
+	e.env.SendResult(f, NewResult(f, out.Output, out.Aborted))
 }
 
 // Decision finalizes the active multi-partition transaction and drains the
@@ -118,12 +97,10 @@ func (e *BlockingEngine) Decision(d *msg.Decision) {
 		e.dropQueued(d.Txn)
 		return
 	}
-	if d.Commit {
-		e.env.Forget(d.Txn)
-	} else {
+	if !d.Commit {
 		e.env.Rollback(d.Txn)
-		e.env.Forget(d.Txn)
 	}
+	e.env.Forget(d.Txn)
 	e.active = nil
 	e.pump()
 }

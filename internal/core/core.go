@@ -164,12 +164,90 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	}
 }
 
-// newAbortReply builds the client reply for a user-aborted single-partition
-// transaction. User aborts are completed transactions, not failures (§5.3).
-func newAbortReply(f *msg.Fragment, out any) *msg.ClientReply {
-	return &msg.ClientReply{Txn: f.Txn, Output: out, Committed: false, UserAborted: true}
+// ConflictKill is the panic sentinel an optimistic engine's access-tracking
+// storage.Locker throws when an access loses the engine's conflict rule.
+type ConflictKill struct{}
+
+// ExecuteTracked runs f with an undo buffer under an access-tracking locker
+// and reports whether the locker killed the execution mid-fragment by
+// panicking with ConflictKill; the caller rolls a killed transaction back.
+func ExecuteTracked(env Env, f *msg.Fragment, locker storage.Locker) (out ExecOutcome, killed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(ConflictKill); !ok {
+				panic(r)
+			}
+			killed = true
+		}
+	}()
+	return env.Execute(f, true, locker), false
 }
 
-func newCommitReply(f *msg.Fragment, out any) *msg.ClientReply {
+// RunIdleSP is the fast path every scheme shares (§3.2): a single-partition
+// fragment arriving at a partition with no active transactions runs to
+// completion at once — no undo buffer unless a user abort is possible, no
+// locks, no tracking — and is answered immediately.
+func RunIdleSP(env Env, f *msg.Fragment, stats *EngineStats) {
+	out := env.Execute(f, f.CanAbort, nil)
+	stats.Executed++
+	stats.FastPath++
+	env.Forget(f.Txn)
+	if out.Aborted {
+		stats.LocalAborts++
+		env.ReplyClient(f, NewAbortReply(f, out.Output))
+		return
+	}
+	env.ReplyClient(f, NewCommitReply(f, out.Output))
+}
+
+// SendAborted reports a user or injected abort of f's transaction, whose
+// effects are already rolled back: a no vote to the coordinator, or the
+// completed-with-abort reply to the client.
+func SendAborted(env Env, f *msg.Fragment, out any) {
+	if f.MultiPartition {
+		env.SendResult(f, NewResult(f, out, true))
+	} else {
+		env.ReplyClient(f, NewAbortReply(f, out))
+	}
+}
+
+// SendKilled reports that the engine killed f's transaction (deadlock or
+// timeout victim, timestamp-order or validation loser): the coordinator
+// aborts the other participants, and the client retries under a fresh ID.
+func SendKilled(env Env, f *msg.Fragment) {
+	if f.MultiPartition {
+		env.SendResult(f, NewKilledResult(f))
+	} else {
+		env.ReplyClient(f, NewRetryReply(f))
+	}
+}
+
+// NewCommitReply builds the client reply for a committed single-partition
+// transaction.
+func NewCommitReply(f *msg.Fragment, out any) *msg.ClientReply {
 	return &msg.ClientReply{Txn: f.Txn, Output: out, Committed: true}
+}
+
+// NewAbortReply builds the client reply for a user-aborted single-partition
+// transaction. User aborts are completed transactions, not failures (§5.3).
+func NewAbortReply(f *msg.Fragment, out any) *msg.ClientReply {
+	return &msg.ClientReply{Txn: f.Txn, Output: out, UserAborted: true}
+}
+
+// NewRetryReply builds the client reply for a single-partition transaction the
+// engine killed: nothing happened, and the client retries it.
+func NewRetryReply(f *msg.Fragment) *msg.ClientReply {
+	return &msg.ClientReply{Txn: f.Txn, Retryable: true}
+}
+
+// NewResult builds a multi-partition fragment's result (the 2PC vote when
+// f.Last): aborted reports a user or injected abort, i.e. a no vote.
+func NewResult(f *msg.Fragment, out any, aborted bool) *msg.FragmentResult {
+	return &msg.FragmentResult{Txn: f.Txn, Round: f.Round, Partition: f.Partition, Output: out, Aborted: aborted}
+}
+
+// NewKilledResult builds the no vote of a multi-partition transaction the
+// engine killed.
+func NewKilledResult(f *msg.Fragment) *msg.FragmentResult {
+	return &msg.FragmentResult{Txn: f.Txn, Round: f.Round, Partition: f.Partition, Aborted: true, Killed: true}
 }

@@ -98,16 +98,7 @@ func (e *LockEngine) Fragment(f *msg.Fragment) {
 		// Lock-free fast path (§4.3): no active transactions can
 		// conflict, and the transaction runs to completion before the
 		// partition does anything else.
-		out := e.env.Execute(f, f.CanAbort, nil)
-		e.stats.Executed++
-		e.stats.FastPath++
-		e.env.Forget(f.Txn)
-		if out.Aborted {
-			e.stats.LocalAborts++
-			e.env.ReplyClient(f, newAbortReply(f, out.Output))
-		} else {
-			e.env.ReplyClient(f, newCommitReply(f, out.Output))
-		}
+		RunIdleSP(e.env, f, &e.stats)
 		return
 	}
 	lt := &ltxn{id: f.Txn, mp: f.MultiPartition, frag: f}
@@ -139,12 +130,10 @@ func (e *LockEngine) Decision(d *msg.Decision) {
 		}
 		lt.fiber = nil
 	}
-	if d.Commit {
-		e.env.Forget(d.Txn)
-	} else {
+	if !d.Commit {
 		e.env.Rollback(d.Txn)
-		e.env.Forget(d.Txn)
 	}
+	e.env.Forget(d.Txn)
 	delete(e.active, d.Txn)
 	e.resume(e.lm.Release(d.Txn))
 }
@@ -294,46 +283,29 @@ func (e *LockEngine) fragmentCommitted(lt *ltxn, out any) {
 			lt.finished = true
 		}
 		// Locks are held until the 2PC decision (strict 2PL).
-		e.env.SendResult(f, &msg.FragmentResult{
-			Txn:       f.Txn,
-			Round:     f.Round,
-			Partition: f.Partition,
-			Output:    out,
-		})
+		e.env.SendResult(f, NewResult(f, out, false))
 		return
 	}
 	// Single-partition: the transaction is complete — commit, release.
 	e.env.Forget(lt.id)
 	delete(e.active, lt.id)
 	grants := e.lm.Release(lt.id)
-	e.env.ReplyClient(f, newCommitReply(f, out))
+	e.env.ReplyClient(f, NewCommitReply(f, out))
 	e.resume(grants)
 }
 
-// finishAborted cleans up a transaction aborted during execution (user abort)
-// or by a kill. Execute already rolled back its effects for user aborts;
-// kills roll back here.
+// finishAborted cleans up a transaction aborted during execution (user abort,
+// with its output) or by a kill (no output). Execute already rolled back its
+// effects for user aborts; kills roll back here.
 func (e *LockEngine) finishAborted(lt *ltxn, out any, killed bool) {
 	e.env.Rollback(lt.id)
 	e.env.Forget(lt.id)
 	delete(e.active, lt.id)
 	grants := e.lm.Release(lt.id)
-	f := lt.frag
-	if lt.mp {
-		// Vote no; the coordinator aborts the other participants.
-		e.env.SendResult(f, &msg.FragmentResult{
-			Txn:       f.Txn,
-			Round:     f.Round,
-			Partition: f.Partition,
-			Output:    out,
-			Aborted:   true,
-			Killed:    killed,
-		})
+	if killed {
+		SendKilled(e.env, lt.frag)
 	} else {
-		reply := newAbortReply(f, out)
-		reply.UserAborted = !killed
-		reply.Retryable = killed
-		e.env.ReplyClient(f, reply)
+		SendAborted(e.env, lt.frag, out)
 	}
 	e.resume(grants)
 }

@@ -119,17 +119,7 @@ func (e *SpecEngine) Fragment(f *msg.Fragment) {
 // startFresh runs a fragment when the partition has no active transactions.
 func (e *SpecEngine) startFresh(f *msg.Fragment) {
 	if !f.MultiPartition {
-		// Fast path: no undo buffer unless a user abort is possible.
-		out := e.env.Execute(f, f.CanAbort, nil)
-		e.stats.Executed++
-		e.stats.FastPath++
-		e.env.Forget(f.Txn)
-		if out.Aborted {
-			e.stats.LocalAborts++
-			e.env.ReplyClient(f, newAbortReply(f, out.Output))
-		} else {
-			e.env.ReplyClient(f, newCommitReply(f, out.Output))
-		}
+		RunIdleSP(e.env, f, &e.stats)
 		return
 	}
 	u := &specTxn{id: f.Txn, frag: f, mp: true}
@@ -150,13 +140,7 @@ func (e *SpecEngine) execContinue(u *specTxn, f *msg.Fragment) {
 	if f.Last {
 		u.finished = true
 	}
-	r := &msg.FragmentResult{
-		Txn:       f.Txn,
-		Round:     f.Round,
-		Partition: f.Partition,
-		Output:    out.Output,
-		Aborted:   out.Aborted,
-	}
+	r := NewResult(f, out.Output, out.Aborted)
 	if u.speculative {
 		r.Speculative = true
 		r.DependsOn = u.dependsOn
@@ -235,23 +219,18 @@ func (e *SpecEngine) speculate(f *msg.Fragment) {
 	if u.mp {
 		// Same coordinator: expose the speculative result immediately,
 		// tagged with its dependency (§4.2.2).
-		e.env.SendResult(f, &msg.FragmentResult{
-			Txn:         f.Txn,
-			Round:       f.Round,
-			Partition:   f.Partition,
-			Output:      out.Output,
-			Aborted:     out.Aborted,
-			Speculative: true,
-			DependsOn:   u.dependsOn,
-		})
+		r := NewResult(f, out.Output, out.Aborted)
+		r.Speculative = true
+		r.DependsOn = u.dependsOn
+		e.env.SendResult(f, r)
 		return
 	}
 	// Single-partition: the client is unaware of speculation, so the
 	// reply is buffered until all earlier transactions commit (§4.2.1).
 	if out.Aborted {
-		u.heldReply = newAbortReply(f, out.Output)
+		u.heldReply = NewAbortReply(f, out.Output)
 	} else {
-		u.heldReply = newCommitReply(f, out.Output)
+		u.heldReply = NewCommitReply(f, out.Output)
 	}
 }
 
@@ -307,6 +286,14 @@ func (e *SpecEngine) dropUnexecuted(id msg.TxnID) {
 		// discarded — and only its latest fragment is requeueable anyway.
 		low = 1
 	}
+	e.requeueFrom(low)
+	e.pump()
+}
+
+// requeueFrom undoes the uncommitted transactions from index low up, newest
+// first, and pushes their fragments back onto the head of the unexecuted
+// queue for re-execution; walking from the tail preserves original order.
+func (e *SpecEngine) requeueFrom(low int) {
 	for i := len(e.unc) - 1; i >= low; i-- {
 		u := e.unc[i]
 		e.env.Rollback(u.id)
@@ -315,7 +302,6 @@ func (e *SpecEngine) dropUnexecuted(id msg.TxnID) {
 		e.stats.Redone++
 	}
 	e.unc = e.unc[:low]
-	e.pump()
 }
 
 // commitHead commits the head and releases speculated single-partition
@@ -339,15 +325,7 @@ func (e *SpecEngine) commitHead() {
 // abortHead rolls back the head and every speculative transaction, requeueing
 // the speculative ones for re-execution in their original order (§4.2.1).
 func (e *SpecEngine) abortHead() {
-	for i := len(e.unc) - 1; i >= 1; i-- {
-		u := e.unc[i]
-		e.env.Rollback(u.id)
-		e.env.Forget(u.id)
-		// Push onto the head of the unexecuted queue; walking from the
-		// tail preserves original order.
-		e.unexecuted = append([]*msg.Fragment{u.frag}, e.unexecuted...)
-		e.stats.Redone++
-	}
+	e.requeueFrom(1)
 	head := e.unc[0]
 	e.env.Rollback(head.id)
 	e.env.Forget(head.id)

@@ -124,14 +124,15 @@ func Validate(events []Event, partitions, replicas int, det Detection, durable b
 // to it at the event's time, and it kills the target process in the sim
 // kernel (messages to a dead actor are dropped — fail-stop).
 type Controller struct {
-	Rec       *metrics.Collector
-	Primaries []sim.ActorID
-	Backups   [][]sim.ActorID
-	// Restarters maps partitions to their restarter actors (crash-restart
-	// schedules only; zero entries elsewhere). RestartDelay is how long
-	// after the kill the restarter is told to begin recovery — the
-	// supervisor noticing the dead process and re-launching it.
-	Restarters   []sim.ActorID
+	Rec *metrics.Collector
+	// Victim names the actor an event kills. The cluster's topology owns the
+	// answer; the sharded runtime's pre-registered kill markers ask the same
+	// function.
+	Victim func(Event) sim.ActorID
+	// Restarter names the actor that brings a crash-restarted partition back.
+	// RestartDelay is how long after the kill it is told to begin recovery —
+	// the supervisor noticing the dead process and re-launching it.
+	Restarter    func(msg.PartitionID) sim.ActorID
 	RestartDelay sim.Time
 	// SkipKill suppresses the synchronous Context.Kill: the sharded runtime
 	// pre-registers every crash as a KillAt marker in the victim's own shard
@@ -146,22 +147,16 @@ func (c *Controller) Receive(ctx *sim.Context, m sim.Message) {
 	if !ok {
 		panic(fmt.Sprintf("fault: unexpected message %T", m))
 	}
+	if !c.SkipKill {
+		ctx.Kill(c.Victim(ev))
+	}
 	switch ev.Kind {
 	case KindCrashPrimary:
-		if !c.SkipKill {
-			ctx.Kill(c.Primaries[ev.Partition])
-		}
 		c.Rec.NoteCrash(int(ev.Partition), metrics.RolePrimary, 0, ctx.Now())
 	case KindCrashBackup:
-		if !c.SkipKill {
-			ctx.Kill(c.Backups[ev.Partition][ev.Replica-1])
-		}
 		c.Rec.NoteCrash(int(ev.Partition), metrics.RoleBackup, ev.Replica, ctx.Now())
 	case KindCrashRestart:
-		if !c.SkipKill {
-			ctx.Kill(c.Primaries[ev.Partition])
-		}
 		c.Rec.NoteRestartCrash(int(ev.Partition), ctx.Now())
-		ctx.Send(c.Restarters[ev.Partition], msg.Restart{}, c.RestartDelay)
+		ctx.Send(c.Restarter(ev.Partition), msg.Restart{}, c.RestartDelay)
 	}
 }

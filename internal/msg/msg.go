@@ -6,7 +6,10 @@
 // avoid complications caused by data transfer time", §5.1).
 package msg
 
-import "specdb/internal/sim"
+import (
+	"specdb/internal/sim"
+	"specdb/internal/storage"
+)
 
 // TxnID identifies a transaction. Client-issued IDs place the client's actor
 // ID in the high bits so IDs are globally unique without coordination.
@@ -34,6 +37,11 @@ type KeyRange struct {
 	Table string
 	Lo    string
 	Hi    string
+}
+
+// Contains reports whether the row (table, key) lies inside the range.
+func (r KeyRange) Contains(table, key string) bool {
+	return table == r.Table && key >= r.Lo && (r.Hi == "" || key < r.Hi)
 }
 
 // Request is a stored procedure invocation sent by a client. Single-partition
@@ -245,12 +253,10 @@ type RecoveryOutcome struct {
 
 // MigRow is one row in flight during a key-range migration: the table it
 // lives in, its key, and its value (a reference, like every simulated
-// payload — rows are copy-on-write, so the reference is safe to share).
-type MigRow struct {
-	Table string
-	Key   string
-	Val   any
-}
+// payload — rows are copy-on-write, so the reference is safe to share). It is
+// the store's own row form, so Store.TakeRange and Store.PutRows produce and
+// consume migration payloads directly.
+type MigRow = storage.Row
 
 // MigrateOut starts a key-range migration at the donor partition. The facade
 // sends it at a drained quiescent point (no transaction in flight anywhere),

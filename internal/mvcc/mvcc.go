@@ -50,16 +50,6 @@ type writeRec struct {
 	prev   version
 }
 
-// scanRange is a scanned key range [lo, hi) recorded for a live read-write
-// transaction; empty hi means unbounded.
-type scanRange struct {
-	table, lo, hi string
-}
-
-func (r scanRange) contains(k vkey) bool {
-	return k.table == r.table && k.key >= r.lo && (r.hi == "" || k.key < r.hi)
-}
-
 // mtxn is one live transaction's versioning state.
 type mtxn struct {
 	id   msg.TxnID
@@ -75,7 +65,7 @@ type mtxn struct {
 	// read-write transactions only, same reasoning as readSet): a writer
 	// into a live reader's scanned range loses to the earlier arrival even
 	// when the written key was absent at scan time — phantom protection.
-	scans []scanRange
+	scans []msg.KeyRange
 	// writes lists the rows this transaction has uncommitted writes for.
 	writes []vkey
 	// shadow is the read-only snapshot: versions retired by writers that
@@ -137,10 +127,6 @@ func (e *Engine) Stats() core.EngineStats { return e.stats }
 // swapped out.
 func (e *Engine) Quiescent() bool { return len(e.pending) == 0 }
 
-// tsKill is the panic sentinel thrown when an access loses a timestamp-order
-// conflict; the fragment runner recovers it.
-type tsKill struct{}
-
 // rwLocker implements storage.Locker for read-write transactions: it
 // enforces timestamp ordering eagerly and records before-images.
 type rwLocker struct {
@@ -157,7 +143,7 @@ type rwLocker struct {
 func (l *rwLocker) Lock(table, key string, exclusive bool) {
 	k := vkey{table, key}
 	if w, ok := l.e.pendingWrites[k]; ok && w.writer != l.t.id {
-		panic(tsKill{})
+		panic(core.ConflictKill{})
 	}
 	if !exclusive {
 		if l.t.readSet != nil {
@@ -171,14 +157,14 @@ func (l *rwLocker) Lock(table, key string, exclusive bool) {
 		}
 		if u.readSet != nil {
 			if _, read := u.readSet[k]; read {
-				panic(tsKill{})
+				panic(core.ConflictKill{})
 			}
 		}
 		for _, r := range u.scans {
-			if r.contains(k) {
+			if r.Contains(k.table, k.key) {
 				// Writing into a live reader's scanned range would create
 				// a phantom for the earlier arrival: the writer loses.
-				panic(tsKill{})
+				panic(core.ConflictKill{})
 			}
 		}
 	}
@@ -196,10 +182,10 @@ func (l *rwLocker) Lock(table, key string, exclusive bool) {
 // range so later writers into it are killed — the scan-set analogue of the
 // read set.
 func (l *rwLocker) LockRange(table, lo, hi string) {
-	r := scanRange{table: table, lo: lo, hi: hi}
+	r := msg.KeyRange{Table: table, Lo: lo, Hi: hi}
 	for k, w := range l.e.pendingWrites {
-		if w.writer != l.t.id && r.contains(k) {
-			panic(tsKill{})
+		if w.writer != l.t.id && r.Contains(k.table, k.key) {
+			panic(core.ConflictKill{})
 		}
 	}
 	if l.t.readSet != nil {
@@ -233,16 +219,7 @@ func (e *Engine) Fragment(f *msg.Fragment) {
 		// Idle fast path, identical to every other scheme. With nothing
 		// pending there are no uncommitted writes, so the store already is
 		// the snapshot — read-only transactions need no overlay either.
-		out := e.env.Execute(f, f.CanAbort, nil)
-		e.stats.Executed++
-		e.stats.FastPath++
-		e.env.Forget(f.Txn)
-		if out.Aborted {
-			e.stats.LocalAborts++
-			e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, UserAborted: true})
-		} else {
-			e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, Committed: true})
-		}
+		core.RunIdleSP(e.env, f, &e.stats)
 		return
 	}
 	t := &mtxn{id: f.Txn, ts: e.nextTS, ro: f.ReadOnly}
@@ -263,20 +240,7 @@ func (e *Engine) run(t *mtxn, f *msg.Fragment) {
 		e.runReadOnly(t, f)
 		return
 	}
-	killed := false
-	var out core.ExecOutcome
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(tsKill); ok {
-					killed = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		out = e.env.Execute(f, true, &rwLocker{e: e, t: t})
-	}()
+	out, killed := core.ExecuteTracked(e.env, f, &rwLocker{e: e, t: t})
 	if killed {
 		e.stats.TSOrderAborts++
 		e.env.Rollback(t.id)
@@ -291,27 +255,18 @@ func (e *Engine) run(t *mtxn, f *msg.Fragment) {
 		e.stats.LocalAborts++
 		e.release(t)
 		e.env.Forget(t.id)
-		if f.MultiPartition {
-			e.env.SendResult(f, &msg.FragmentResult{
-				Txn: f.Txn, Round: f.Round, Partition: f.Partition,
-				Output: out.Output, Aborted: true,
-			})
-		} else {
-			e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, UserAborted: true})
-		}
+		core.SendAborted(e.env, f, out.Output)
 		return
 	}
 	if !f.MultiPartition {
 		e.commitLocal(t)
 		e.env.Forget(t.id)
-		e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, Committed: true})
+		e.env.ReplyClient(f, core.NewCommitReply(f, out.Output))
 		return
 	}
 	// Multi-partition rounds: conflicts were resolved eagerly, so the last
 	// round's yes vote needs no further validation.
-	e.env.SendResult(f, &msg.FragmentResult{
-		Txn: f.Txn, Round: f.Round, Partition: f.Partition, Output: out.Output,
-	})
+	e.env.SendResult(f, core.NewResult(f, out.Output, false))
 }
 
 // runReadOnly executes a read-only fragment against the transaction's
@@ -329,25 +284,16 @@ func (e *Engine) runReadOnly(t *mtxn, f *msg.Fragment) {
 		e.stats.LocalAborts++
 		e.release(t)
 		e.env.Forget(t.id)
-		if f.MultiPartition {
-			e.env.SendResult(f, &msg.FragmentResult{
-				Txn: f.Txn, Round: f.Round, Partition: f.Partition,
-				Output: out.Output, Aborted: true,
-			})
-		} else {
-			e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, UserAborted: true})
-		}
+		core.SendAborted(e.env, f, out.Output)
 		return
 	}
 	if f.MultiPartition {
-		e.env.SendResult(f, &msg.FragmentResult{
-			Txn: f.Txn, Round: f.Round, Partition: f.Partition, Output: out.Output,
-		})
+		e.env.SendResult(f, core.NewResult(f, out.Output, false))
 		return
 	}
 	e.release(t)
 	e.env.Forget(t.id)
-	e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, Committed: true})
+	e.env.ReplyClient(f, core.NewCommitReply(f, out.Output))
 }
 
 // overlay materializes t's snapshot in the store, runs fn, and restores the
@@ -423,15 +369,7 @@ func (e *Engine) release(t *mtxn) {
 func (e *Engine) finishKilled(t *mtxn) {
 	e.release(t)
 	e.env.Forget(t.id)
-	f := t.frag
-	if f.MultiPartition {
-		e.env.SendResult(f, &msg.FragmentResult{
-			Txn: f.Txn, Round: f.Round, Partition: f.Partition,
-			Aborted: true, Killed: true,
-		})
-	} else {
-		e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Retryable: true})
-	}
+	core.SendKilled(e.env, t.frag)
 }
 
 // Decision finalizes a multi-partition transaction.

@@ -40,18 +40,6 @@ type vkey struct {
 	table, key string
 }
 
-// scanRange is a scanned key range [lo, hi) in a transaction's read set;
-// empty hi means unbounded. Recording the *range* rather than the visited
-// rows is what makes validation phantom-safe: a write to a key that was
-// absent at scan time still lands inside the range.
-type scanRange struct {
-	table, lo, hi string
-}
-
-func (r scanRange) contains(k vkey) bool {
-	return k.table == r.table && k.key >= r.lo && (r.hi == "" || k.key < r.hi)
-}
-
 // otxn is one live transaction's validation state.
 type otxn struct {
 	id   msg.TxnID
@@ -63,8 +51,11 @@ type otxn struct {
 	readSet  map[vkey]struct{}
 	writeSet map[vkey]struct{}
 	// scans extends the read set to scanned key ranges; validation checks
-	// them against writes by containment instead of key equality.
-	scans []scanRange
+	// them against writes by containment instead of key equality. Recording
+	// the *range* rather than the visited rows is what makes validation
+	// phantom-safe: a write to a key that was absent at scan time still lands
+	// inside the range.
+	scans []msg.KeyRange
 	// voted means the yes vote for this transaction has been sent (2PC);
 	// its read set can no longer be invalidated by a writer.
 	voted bool
@@ -112,10 +103,6 @@ func (e *Engine) Stats() core.EngineStats { return e.stats }
 // swapped out.
 func (e *Engine) Quiescent() bool { return len(e.pending) == 0 }
 
-// conflictKill is the panic sentinel the recording locker throws when an
-// access conflicts eagerly; the fragment runner recovers it.
-type conflictKill struct{}
-
 // recorder implements storage.Locker: it records the read/write sets and
 // enforces the eager write rules.
 type recorder struct {
@@ -134,18 +121,18 @@ func (r *recorder) Lock(table, key string, exclusive bool) {
 		return
 	}
 	if w, ok := r.e.pendingWrites[k]; ok && w != r.t.id {
-		panic(conflictKill{})
+		panic(core.ConflictKill{})
 	}
 	for _, u := range r.e.pending {
 		if u != r.t && u.voted {
 			if _, read := u.readSet[k]; read {
-				panic(conflictKill{})
+				panic(core.ConflictKill{})
 			}
 			for _, sr := range u.scans {
-				if sr.contains(k) {
+				if sr.Contains(k.table, k.key) {
 					// A voted scanner's range is as irrevocable as its
 					// read set: inserting a phantom into it must fail.
-					panic(conflictKill{})
+					panic(core.ConflictKill{})
 				}
 			}
 		}
@@ -158,7 +145,7 @@ func (r *recorder) Lock(table, key string, exclusive bool) {
 // proceed optimistically — overlap with live or committed-since-start writers
 // is settled at validation (the phantom check).
 func (r *recorder) LockRange(table, lo, hi string) {
-	r.t.scans = append(r.t.scans, scanRange{table: table, lo: lo, hi: hi})
+	r.t.scans = append(r.t.scans, msg.KeyRange{Table: table, Lo: lo, Hi: hi})
 }
 
 // Fragment handles an arriving fragment.
@@ -177,16 +164,7 @@ func (e *Engine) Fragment(f *msg.Fragment) {
 	if len(e.pending) == 0 && !f.MultiPartition {
 		// Idle fast path, identical to every other scheme: nothing can
 		// conflict, so skip tracking and validation entirely.
-		out := e.env.Execute(f, f.CanAbort, nil)
-		e.stats.Executed++
-		e.stats.FastPath++
-		e.env.Forget(f.Txn)
-		if out.Aborted {
-			e.stats.LocalAborts++
-			e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, UserAborted: true})
-		} else {
-			e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, Committed: true})
-		}
+		core.RunIdleSP(e.env, f, &e.stats)
 		return
 	}
 	t := &otxn{
@@ -205,20 +183,7 @@ func (e *Engine) Fragment(f *msg.Fragment) {
 // vote.
 func (e *Engine) run(t *otxn, f *msg.Fragment) {
 	t.frag = f
-	killed := false
-	var out core.ExecOutcome
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(conflictKill); ok {
-					killed = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		out = e.env.Execute(f, true, &recorder{e: e, t: t})
-	}()
+	out, killed := core.ExecuteTracked(e.env, f, &recorder{e: e, t: t})
 	if killed {
 		e.stats.ValidationAborts++
 		e.env.Rollback(t.id)
@@ -231,21 +196,14 @@ func (e *Engine) run(t *otxn, f *msg.Fragment) {
 		e.stats.LocalAborts++
 		e.abortCleanup(t)
 		e.env.Forget(t.id)
-		if f.MultiPartition {
-			e.env.SendResult(f, &msg.FragmentResult{
-				Txn: f.Txn, Round: f.Round, Partition: f.Partition,
-				Output: out.Output, Aborted: true,
-			})
-		} else {
-			e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, UserAborted: true})
-		}
+		core.SendAborted(e.env, f, out.Output)
 		return
 	}
 	if !f.MultiPartition {
 		if e.validate(t) {
 			e.commitLocal(t)
 			e.env.Forget(t.id)
-			e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Output: out.Output, Committed: true})
+			e.env.ReplyClient(f, core.NewCommitReply(f, out.Output))
 		} else {
 			e.stats.ValidationAborts++
 			e.env.Rollback(t.id)
@@ -254,18 +212,14 @@ func (e *Engine) run(t *otxn, f *msg.Fragment) {
 		return
 	}
 	if !f.Last {
-		e.env.SendResult(f, &msg.FragmentResult{
-			Txn: f.Txn, Round: f.Round, Partition: f.Partition, Output: out.Output,
-		})
+		e.env.SendResult(f, core.NewResult(f, out.Output, false))
 		return
 	}
 	// Commit point of a multi-partition transaction: validate before
 	// casting the yes vote.
 	if e.validate(t) {
 		t.voted = true
-		e.env.SendResult(f, &msg.FragmentResult{
-			Txn: f.Txn, Round: f.Round, Partition: f.Partition, Output: out.Output,
-		})
+		e.env.SendResult(f, core.NewResult(f, out.Output, false))
 		return
 	}
 	e.stats.ValidationAborts++
@@ -297,12 +251,12 @@ func (e *Engine) validate(t *otxn) bool {
 	// that key. Only existence is tested, so map iteration order is moot.
 	for _, r := range t.scans {
 		for k, w := range e.pendingWrites {
-			if w != t.id && r.contains(k) {
+			if w != t.id && r.Contains(k.table, k.key) {
 				return false
 			}
 		}
 		for k, seq := range e.committedWrites {
-			if seq > t.start && r.contains(k) {
+			if seq > t.start && r.Contains(k.table, k.key) {
 				return false
 			}
 		}
@@ -343,7 +297,7 @@ func (e *Engine) abortCleanup(t *otxn) {
 				continue
 			}
 			for _, sr := range u.scans {
-				if sr.contains(k) {
+				if sr.Contains(k.table, k.key) {
 					// The scan may have visited the rolled-back write.
 					u.doomed = true
 					break
@@ -360,15 +314,7 @@ func (e *Engine) abortCleanup(t *otxn) {
 func (e *Engine) finishKilled(t *otxn) {
 	e.abortCleanup(t)
 	e.env.Forget(t.id)
-	f := t.frag
-	if f.MultiPartition {
-		e.env.SendResult(f, &msg.FragmentResult{
-			Txn: f.Txn, Round: f.Round, Partition: f.Partition,
-			Aborted: true, Killed: true,
-		})
-	} else {
-		e.env.ReplyClient(f, &msg.ClientReply{Txn: f.Txn, Retryable: true})
-	}
+	core.SendKilled(e.env, t.frag)
 }
 
 // maybeQuiesce clears the committed-write log once nothing is pending: new

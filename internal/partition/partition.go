@@ -373,11 +373,15 @@ func (p *Partition) logDurable(g durable.Gate) {
 		return
 	}
 	ps.logWait = false
-	if !ps.ready() {
-		return
+	p.release(g.Txn, ps)
+}
+
+// release fires a gated send once its last gate has cleared.
+func (p *Partition) release(id msg.TxnID, ps *pendingSend) {
+	if ps.ready() {
+		delete(p.pending, id)
+		ps.send()
 	}
-	delete(p.pending, g.Txn)
-	ps.send()
 }
 
 // pulse sends one heartbeat to every attached backup and re-arms the loop.
@@ -448,10 +452,7 @@ func (p *Partition) dropBackup(ctx *sim.Context, dead sim.ActorID) {
 	for _, id := range ids {
 		ps := p.pending[id]
 		delete(ps.awaiting, dead)
-		if ps.ready() {
-			delete(p.pending, id)
-			ps.send()
-		}
+		p.release(id, ps)
 	}
 }
 
@@ -466,17 +467,7 @@ func (p *Partition) migrateOut(ctx *sim.Context, m *msg.MigrateOut) {
 	if !p.Quiescent() {
 		panic(fmt.Sprintf("partition %d: migration while not quiescent", p.cfg.ID))
 	}
-	var rows []msg.MigRow
-	for _, tbl := range p.cfg.Store.TableNames() {
-		t := p.cfg.Store.Table(tbl)
-		t.Ascend(m.Lo, m.Hi, func(k string, v any) bool {
-			rows = append(rows, msg.MigRow{Table: tbl, Key: k, Val: v})
-			return true
-		})
-	}
-	for _, r := range rows {
-		p.cfg.Store.Table(r.Table).Delete(r.Key)
-	}
+	rows := p.cfg.Store.TakeRange(m.Lo, m.Hi)
 	p.spendCtx(ctx, m.Cost)
 	if p.cfg.Logger != nil {
 		p.cfg.Logger.AppendMigrationOut(ctx, m.Lo, m.Hi)
@@ -498,9 +489,7 @@ func (p *Partition) migrateIn(ctx *sim.Context, m *msg.MigrateIn) {
 	if !p.Quiescent() {
 		panic(fmt.Sprintf("partition %d: migration while not quiescent", p.cfg.ID))
 	}
-	for _, r := range m.Rows {
-		p.cfg.Store.Table(r.Table).Put(r.Key, r.Val)
-	}
+	p.cfg.Store.PutRows(m.Rows)
 	p.spendCtx(ctx, m.Cost)
 	if p.cfg.Logger != nil {
 		p.cfg.Logger.AppendMigrationIn(ctx, m.Rows)
@@ -707,9 +696,5 @@ func (p *Partition) ackArrived(a *msg.ReplicaAck) {
 		return // stale ack from a superseded forward
 	}
 	delete(ps.awaiting, a.From)
-	if !ps.ready() {
-		return
-	}
-	delete(p.pending, a.Txn)
-	ps.send()
+	p.release(a.Txn, ps)
 }

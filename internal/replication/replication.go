@@ -7,20 +7,16 @@
 // work, so backups never participate in distributed transactions.
 //
 // When fault injection is enabled, a backup also runs a timeout-based
-// failure detector over its primary's heartbeats. On detecting a crash, it
-// promotes itself: it already holds all committed state plus the
-// prepared-but-undecided buffer, so it builds a fresh partition process
-// around its own store, asks the coordinator for the outcomes of the
-// buffered transactions (and, implicitly, for in-flight transactions
-// touching the dead partition to be resolved), and takes over as primary —
-// deduplicating client recovery resends so no transaction commits twice.
-// See docs/ARCHITECTURE.md "Failures and recovery".
+// failure detector over its primary's heartbeats and promotes itself on
+// detecting a crash; a durable, unreplicated partition is instead brought
+// back from its checkpoint and command log by a Restarter. Both become the
+// primary through the one takeover state machine (takeover.go). See
+// docs/ARCHITECTURE.md "Failures and recovery".
 package replication
 
 import (
 	"fmt"
 
-	"specdb/internal/core"
 	"specdb/internal/costs"
 	"specdb/internal/metrics"
 	"specdb/internal/msg"
@@ -38,131 +34,63 @@ type (
 	checkTick struct{}
 )
 
-// Backup is one backup replica of a partition.
+// Backup is one backup replica of a partition: a takeover fed by the FIFO
+// replica link, plus the heartbeat machinery that decides when to promote.
 type Backup struct {
-	Store    *storage.Store
-	Registry *txn.Registry
-	Costs    *costs.Model
-	Net      *simnet.Net
-	Primary  sim.ActorID
+	takeover
+	Primary sim.ActorID
 
 	// Failover wiring (set by the facade when fault injection is enabled).
-	// Partition is the replicated partition; Replica is this backup's
-	// 1-based rank, which staggers the detection timeout so exactly one
-	// surviving backup promotes. Peers are the partition's other backups.
-	Partition   msg.PartitionID
-	Replica     int
-	Coordinator sim.ActorID
-	Peers       []sim.ActorID
+	// Replica is this backup's 1-based rank, which staggers the detection
+	// timeout so exactly one surviving backup promotes. Peers are the
+	// partition's other backups.
+	Replica int
+	Peers   []sim.ActorID
 	// Heartbeat and Timeout parameterize the failure detector.
 	Heartbeat sim.Time
 	Timeout   sim.Time
-	// EngineFactory builds the concurrency control engine on promotion;
-	// the facade keeps it current across adaptive scheme switches.
-	EngineFactory func(env core.Env) core.Engine
-	// Rec records failover events (may be nil outside fault runs).
-	Rec *metrics.Collector
 
-	self sim.ActorID
-
-	// buffered holds prepared multi-partition transactions awaiting the
-	// primary's decision forward; bufOrder preserves forward order for the
-	// recovery query.
-	buffered map[msg.TxnID]*msg.ReplicaForward
-	bufOrder []msg.TxnID
-
-	// lastReply remembers, per client, the most recently applied committed
-	// single-partition transaction and its reply. Clients are closed-loop
-	// (at most one transaction outstanding), so one entry per client is
-	// exactly the deduplication state a promoted primary needs.
-	lastReply map[sim.ActorID]*msg.ClientReply
-
-	// Failure detection and promotion state.
 	pulsing    bool
 	monitoring bool
 	lastHeard  sim.Time
-	// promoted is the partition process this backup becomes on promotion.
-	// resolved is set once the RecoveryOutcome has arrived AND every
-	// buffered transaction has been resolved; until then new fragments
-	// are stashed, because applying a late old-world commit directly to
-	// the store underneath an engine holding uncommitted undo state could
-	// let a later rollback erase the committed write.
-	promoted    *partition.Partition
-	outcomeSeen bool
-	resolved    bool
-	stash       []*msg.Fragment
-	// bufCommitted and bufDropped count buffered transactions resolved
-	// during recovery (for the failover metrics).
-	bufCommitted, bufDropped int
-
-	// view is the reusable replay view (apply is synchronous).
-	view storage.TxnView
-
-	// Applied counts transactions applied to the backup store.
-	Applied uint64
 }
 
 // New builds a backup.
 func New(store *storage.Store, reg *txn.Registry, c *costs.Model, net *simnet.Net) *Backup {
-	return &Backup{
-		Store:     store,
-		Registry:  reg,
-		Costs:     c,
-		Net:       net,
-		buffered:  make(map[msg.TxnID]*msg.ReplicaForward),
-		lastReply: make(map[sim.ActorID]*msg.ClientReply),
-	}
+	b := &Backup{takeover: newTakeover(store, reg, c, net)}
+	b.afterResolve = b.relayDecision
+	b.noteResumed = (*metrics.Collector).NotePromoted
+	return b
 }
-
-// Bind sets the backup's own actor ID (after scheduler registration).
-func (b *Backup) Bind(self sim.ActorID) { b.self = self }
-
-// BufferedLen reports the number of buffered prepared-but-undecided
-// transactions (tests: must be zero at quiescence).
-func (b *Backup) BufferedLen() int { return len(b.buffered) }
-
-// Promoted returns the partition process this backup became after promotion,
-// or nil while it is still a passive backup.
-func (b *Backup) Promoted() *partition.Partition { return b.promoted }
-
-// Recovering reports whether a promotion is in flight: the backup has taken
-// over but old-world transactions are still being resolved (the coordinator's
-// RecoveryOutcome, plus Recovery-flagged decisions for any buffered
-// transaction that was still undecided at promotion).
-func (b *Backup) Recovering() bool { return b.promoted != nil && !b.resolved }
 
 // Receive handles primary traffic, failure detection, and — after promotion
 // — everything a partition primary handles.
 func (b *Backup) Receive(ctx *sim.Context, m sim.Message) {
 	if b.promoted != nil {
-		b.receivePromoted(ctx, m)
+		switch m.(type) {
+		case *msg.ReplicaForward, *msg.ReplicaDecision, *msg.Heartbeat,
+			msg.StartMonitor, msg.StartPulse, msg.StopPulse, checkTick, pulseTick, *msg.NewPrimary,
+			*msg.ReplicaMigrateOut, *msg.ReplicaMigrateIn:
+			// Stale pre-crash traffic or detector machinery; promotion is
+			// final and the old primary is dead. (Migration forwards reach a
+			// promoted backup as MigrateOut/MigrateIn — replica-directed
+			// copies could only come from the dead primary.)
+			return
+		}
+		b.receive(ctx, m)
 		return
 	}
 	switch v := m.(type) {
 	case *msg.ReplicaForward:
+		r := replay{txn: v.Txn, proc: v.Proc, works: v.Works}
 		if v.Committed {
-			b.apply(ctx, v)
-			if v.Reply != nil {
-				b.lastReply[v.Client] = v.Reply
-			}
+			b.committed(ctx, r, v.Client, v.Reply)
 		} else {
-			// Prepared but undecided: buffer (a re-forward after a
-			// speculative cascade supersedes the previous one).
-			if _, seen := b.buffered[v.Txn]; !seen {
-				b.bufOrder = append(b.bufOrder, v.Txn)
-			}
-			b.buffered[v.Txn] = v
+			b.prepared(r)
 		}
 		b.Net.Send(ctx, b.Primary, &msg.ReplicaAck{Txn: v.Txn, From: ctx.Self(), Seq: v.Seq})
 	case *msg.ReplicaDecision:
-		fw, ok := b.buffered[v.Txn]
-		if !ok {
-			return // aborted before preparing, or never forwarded
-		}
-		b.unbuffer(v.Txn)
-		if v.Commit {
-			b.apply(ctx, fw)
-		}
+		b.decided(ctx, v.Txn, v.Commit)
 	case *msg.Heartbeat:
 		b.lastHeard = ctx.Now()
 	case msg.StartMonitor:
@@ -192,28 +120,11 @@ func (b *Backup) Receive(ctx *sim.Context, m sim.Message) {
 		// The FIFO link guarantees every decision for a transaction that
 		// committed before the migration has already been delivered, so no
 		// buffered transaction can touch the departing rows.
-		b.applyMigrateOut(v.Lo, v.Hi)
+		b.Store.TakeRange(v.Lo, v.Hi)
 	case *msg.ReplicaMigrateIn:
-		for _, r := range v.Rows {
-			b.Store.Table(r.Table).Put(r.Key, r.Val)
-		}
+		b.Store.PutRows(v.Rows)
 	default:
 		panic(fmt.Sprintf("backup: unexpected message %T", m))
-	}
-}
-
-// applyMigrateOut deletes the migrated range from the backup store, mirroring
-// the primary's surrender.
-func (b *Backup) applyMigrateOut(lo, hi string) {
-	var doomed []struct{ table, key string }
-	for _, tbl := range b.Store.TableNames() {
-		b.Store.Table(tbl).Ascend(lo, hi, func(k string, v any) bool {
-			doomed = append(doomed, struct{ table, key string }{tbl, k})
-			return true
-		})
-	}
-	for _, d := range doomed {
-		b.Store.Table(d.table).Delete(d.key)
 	}
 }
 
@@ -248,155 +159,23 @@ func (b *Backup) check(ctx *sim.Context) {
 }
 
 // promote turns this backup into the partition's primary. The store already
-// holds every committed transaction; the buffered prepared transactions are
-// resolved through the coordinator's decision log (RecoveryQuery →
-// RecoveryOutcome). Surviving peer backups become the new primary's backups.
+// holds every committed transaction; surviving peer backups become the new
+// primary's backups, and the takeover resolves the prepared buffer.
 func (b *Backup) promote(ctx *sim.Context) {
 	b.monitoring = false
 	if b.Rec != nil {
 		b.Rec.NoteDetected(int(b.Partition), metrics.RolePrimary, 0, ctx.Now())
 	}
-	inner := partition.New(partition.Config{
-		ID:       b.Partition,
-		Store:    b.Store,
-		Registry: b.Registry,
-		Costs:    b.Costs,
-		Net:      b.Net,
-		Backups:  append([]sim.ActorID(nil), b.Peers...),
-	})
-	inner.Bind(b.self, b.EngineFactory)
-	b.promoted = inner
 	for _, p := range b.Peers {
 		b.Net.Send(ctx, p, &msg.NewPrimary{Partition: b.Partition, Actor: b.self})
 	}
-	b.Net.Send(ctx, b.Coordinator, &msg.RecoveryQuery{
-		Partition:  b.Partition,
-		NewPrimary: b.self,
-		Buffered:   append([]msg.TxnID(nil), b.bufOrder...),
-	})
+	b.takeOver(ctx, partition.Config{Backups: append([]sim.ActorID(nil), b.Peers...)})
 }
 
-// receivePromoted dispatches messages after promotion: recovery traffic and
-// old-world decisions are resolved against the buffered transactions; all
-// normal partition traffic is delegated to the inner partition process.
-func (b *Backup) receivePromoted(ctx *sim.Context, m sim.Message) {
-	switch v := m.(type) {
-	case *msg.RecoveryOutcome:
-		for _, o := range v.Outcomes {
-			b.resolveBuffered(ctx, o.Txn, o.Commit)
-		}
-		b.outcomeSeen = true
-		b.maybeResume(ctx)
-	case *msg.Fragment:
-		if !b.resolved {
-			// Recovery still in flight: hold new work until every
-			// buffered old-world transaction has been resolved, so their
-			// writes land before anything new executes (and records undo)
-			// on top of them.
-			b.stash = append(b.stash, v)
-			return
-		}
-		b.fragment(ctx, v)
-	case *msg.Decision:
-		if _, old := b.buffered[v.Txn]; old {
-			// Old-world transaction decided after promotion: resolve the
-			// buffered forward; the inner engine never saw it.
-			b.resolveBuffered(ctx, v.Txn, v.Commit)
-			b.maybeResume(ctx)
-			return
-		}
-		if v.Recovery {
-			return // old-world transaction with no state here
-		}
-		b.promoted.Receive(ctx, m)
-	case *msg.ReplicaForward, *msg.ReplicaDecision, *msg.Heartbeat,
-		msg.StartMonitor, msg.StartPulse, msg.StopPulse, checkTick, pulseTick, *msg.NewPrimary,
-		*msg.ReplicaMigrateOut, *msg.ReplicaMigrateIn:
-		// Stale pre-crash traffic or detector machinery; promotion is
-		// final and the old primary is dead. (Migration forwards reach a
-		// promoted backup as MigrateOut/MigrateIn via the default case —
-		// replica-directed copies could only come from the dead primary.)
-	default:
-		// Everything else — engine timers, peer acks — belongs to the
-		// inner partition process.
-		b.promoted.Receive(ctx, m)
-	}
-}
-
-// fragment delivers a fragment to the inner partition, deduplicating client
-// recovery resends: if the client's last applied committed transaction is
-// the one being resent, the stored reply is returned instead of executing
-// the transaction a second time.
-func (b *Backup) fragment(ctx *sim.Context, f *msg.Fragment) {
-	if lr := b.lastReply[f.Client]; lr != nil && lr.Txn == f.Txn {
-		b.Net.Send(ctx, f.Client, lr)
-		return
-	}
-	b.promoted.Receive(ctx, f)
-}
-
-// maybeResume opens the promoted primary for business once the recovery
-// outcome has arrived and no buffered transaction remains (transactions
-// still pending at the coordinator resolve through Recovery-flagged
-// decisions; holding new work until then keeps old-world commits strictly
-// before new-world execution). Stashed fragments replay in arrival order.
-func (b *Backup) maybeResume(ctx *sim.Context) {
-	if b.resolved || !b.outcomeSeen || len(b.buffered) > 0 {
-		return
-	}
-	b.resolved = true
-	if b.Rec != nil {
-		b.Rec.NotePromoted(int(b.Partition), ctx.Now(), b.bufCommitted, b.bufDropped)
-	}
-	stash := b.stash
-	b.stash = nil
-	for _, f := range stash {
-		b.fragment(ctx, f)
-	}
-}
-
-// resolveBuffered applies or drops one buffered transaction and relays the
-// outcome to peer backups (whose buffers mirror this one).
-func (b *Backup) resolveBuffered(ctx *sim.Context, id msg.TxnID, commit bool) {
-	fw, ok := b.buffered[id]
-	if !ok {
-		return
-	}
-	b.unbuffer(id)
-	if commit {
-		b.apply(ctx, fw)
-		b.bufCommitted++
-	} else {
-		b.bufDropped++
-	}
+// relayDecision passes a recovered outcome to the peer backups, whose buffers
+// mirror this one.
+func (b *Backup) relayDecision(ctx *sim.Context, id msg.TxnID, commit bool) {
 	for _, p := range b.Peers {
 		b.Net.Send(ctx, p, &msg.ReplicaDecision{Txn: id, Commit: commit})
 	}
-}
-
-// unbuffer removes a transaction from the prepared buffer and its order.
-func (b *Backup) unbuffer(id msg.TxnID) {
-	delete(b.buffered, id)
-	for i, t := range b.bufOrder {
-		if t == id {
-			b.bufOrder = append(b.bufOrder[:i], b.bufOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// apply re-executes a transaction's fragments against the backup store.
-// Replay is synchronous (no locks, no undo), so one reusable view serves
-// every work.
-func (b *Backup) apply(ctx *sim.Context, fw *msg.ReplicaForward) {
-	proc := b.Registry.Get(fw.Proc)
-	for _, w := range fw.Works {
-		view := &b.view
-		view.Reset(b.Store, nil, nil)
-		if _, err := proc.Run(view, w); err != nil {
-			panic(fmt.Sprintf("backup: forwarded transaction %d aborted on replay: %v", fw.Txn, err))
-		}
-		ctx.Spend(b.Costs.ReplicaApply(fw.Proc, view.Reads+view.Writes, view.Writes))
-	}
-	b.Applied++
 }

@@ -3,7 +3,6 @@ package replication
 import (
 	"fmt"
 
-	"specdb/internal/core"
 	"specdb/internal/costs"
 	"specdb/internal/durable"
 	"specdb/internal/metrics"
@@ -11,100 +10,34 @@ import (
 	"specdb/internal/partition"
 	"specdb/internal/sim"
 	"specdb/internal/simnet"
-	"specdb/internal/storage"
 	"specdb/internal/txn"
 )
 
 // Restarter is the crash-restart actor for a durable, unreplicated partition:
 // the "process supervisor re-launching the database" half of crash-restart
-// faults. It idles until the fault controller's msg.Restart, then recovers the
-// partition from disk — load the latest checkpoint, replay the durable command-
-// log tail in commit order — and takes over as primary through the same
-// recovery protocol a promoted backup uses: prepared-but-undecided transactions
-// resolve through the coordinator's decision log (RecoveryQuery →
-// RecoveryOutcome plus Recovery-flagged Decisions), new fragments are held
-// until the old world is fully resolved, and client recovery resends are
-// deduplicated against the replayed replies.
+// faults. It idles until the fault controller's msg.Restart, then feeds the
+// takeover from disk instead of from a replica link — the latest checkpoint
+// becomes the store, the durable command-log tail replays onto it in commit
+// order — and takes over exactly as a promoted backup does.
 type Restarter struct {
-	Log      *durable.Logger
-	Registry *txn.Registry
-	Costs    *costs.Model
-	Net      *simnet.Net
-
-	// Partition is the partition this restarter recovers; Coordinator
-	// receives its RecoveryQuery.
-	Partition   msg.PartitionID
-	Coordinator sim.ActorID
-	// EngineFactory builds the concurrency control engine on restart; the
-	// facade keeps it current across adaptive scheme switches.
-	EngineFactory func(env core.Env) core.Engine
-	// Rec records the recovery timeline (may be nil in unit tests).
-	Rec *metrics.Collector
-
-	self sim.ActorID
-
-	// store is the recovered store: the checkpoint snapshot with the log
-	// tail replayed on top.
-	store *storage.Store
-
-	// promoted is the partition process this restarter becomes; resolved is
-	// set once the RecoveryOutcome has arrived AND every buffered prepared
-	// transaction has been resolved (same hold-the-new-world discipline as
-	// backup promotion).
-	promoted    *partition.Partition
-	outcomeSeen bool
-	resolved    bool
-	stash       []*msg.Fragment
-
-	// buffered holds replayed prepared-but-undecided records awaiting the
-	// coordinator's outcome; bufOrder preserves log order for the query.
-	buffered map[msg.TxnID]*durable.Record
-	bufOrder []msg.TxnID
-
-	// lastReply is rebuilt from committed records during replay and
-	// deduplicates client recovery resends, exactly as on a promoted backup.
-	lastReply map[sim.ActorID]*msg.ClientReply
-
-	bufCommitted, bufDropped int
-
-	// view is the reusable replay view (replay is synchronous).
-	view storage.TxnView
-
-	replayTxns int
-	logBytes   uint64
-
-	// Replayed counts transactions re-executed from the log (tail replay
-	// plus recovered commits).
-	Replayed uint64
+	takeover
+	Log *durable.Logger
 }
 
 // NewRestarter builds a restarter for one partition's command log.
 func NewRestarter(log *durable.Logger, reg *txn.Registry, c *costs.Model, net *simnet.Net) *Restarter {
-	return &Restarter{
-		Log:       log,
-		Registry:  reg,
-		Costs:     c,
-		Net:       net,
-		buffered:  make(map[msg.TxnID]*durable.Record),
-		lastReply: make(map[sim.ActorID]*msg.ClientReply),
-	}
+	r := &Restarter{takeover: newTakeover(nil, reg, c, net), Log: log}
+	// The decision record the crash lost is re-created from the coordinator's
+	// answer, keeping the log self-contained.
+	r.afterResolve = log.AppendDecision
+	r.noteResumed = (*metrics.Collector).NoteRestartResumed
+	return r
 }
-
-// Bind sets the restarter's own actor ID (after scheduler registration).
-func (r *Restarter) Bind(self sim.ActorID) { r.self = self }
-
-// Promoted returns the partition process this restarter became after
-// recovery, or nil while the partition is still down.
-func (r *Restarter) Promoted() *partition.Partition { return r.promoted }
-
-// Recovering reports whether a restart is in flight: the process is back up
-// but old-world transactions are still being resolved.
-func (r *Restarter) Recovering() bool { return r.promoted != nil && !r.resolved }
 
 // Receive idles until the restart order, then behaves like a promoted backup.
 func (r *Restarter) Receive(ctx *sim.Context, m sim.Message) {
 	if r.promoted != nil {
-		r.receivePromoted(ctx, m)
+		r.receive(ctx, m)
 		return
 	}
 	if _, ok := m.(msg.Restart); !ok {
@@ -115,199 +48,47 @@ func (r *Restarter) Receive(ctx *sim.Context, m sim.Message) {
 
 // restart performs crash recovery: pay the disk read for the checkpoint
 // image, adopt its snapshot, replay the durable log tail in commit order
-// (committed records apply; prepared records buffer, latest re-append wins;
-// decision records resolve), rebuild the reply-deduplication table, then
-// reattach the log, build the partition process around the recovered store,
-// and ask the coordinator for the outcomes of the still-undecided buffer.
+// (committed records apply; prepared records buffer; decision records settle
+// them; migration records mutate the store directly), pay the tail's read,
+// reattach the log, and take over with the log as the new process's own.
 func (r *Restarter) restart(ctx *sim.Context) {
 	began := ctx.Now()
 	ck := r.Log.Latest()
 	ctx.Spend(r.Log.ReadCost(ck.Bytes))
-	r.store = ck.Store
+	r.Store = ck.Store
+	var logBytes uint64
+	replayTxns := 0
 	tail := r.Log.Tail()
 	for i := range tail {
 		rec := &tail[i]
-		r.logBytes += uint64(rec.Size)
+		logBytes += uint64(rec.Size)
+		rp := replay{txn: rec.Txn, proc: rec.Proc, works: rec.Works}
 		switch rec.Kind {
 		case durable.RecordCommitted:
-			r.apply(ctx, rec)
-			if rec.Reply != nil {
-				r.lastReply[rec.Client] = rec.Reply
-			}
-			r.replayTxns++
+			r.committed(ctx, rp, rec.Client, rec.Reply)
+			replayTxns++
 		case durable.RecordPrepared:
-			// A re-appended record (speculative re-execution before the
-			// crash) supersedes the earlier one, keeping first-seen order.
-			if _, seen := r.buffered[rec.Txn]; !seen {
-				r.bufOrder = append(r.bufOrder, rec.Txn)
-			}
-			r.buffered[rec.Txn] = rec
+			r.prepared(rp)
 		case durable.RecordDecision:
-			rb, ok := r.buffered[rec.Txn]
-			if !ok {
-				continue // aborted before preparing, or resolved below the checkpoint
-			}
-			r.unbufferRec(rec.Txn)
-			if rec.Commit {
-				r.apply(ctx, rb)
-				r.replayTxns++
+			if r.decided(ctx, rec.Txn, rec.Commit) && rec.Commit {
+				replayTxns++
 			}
 		case durable.RecordMigration:
 			// Elastic repartitioning step, appended at a drained quiescent
-			// point: no transaction to re-execute, the store mutates
-			// directly. Replaying it restores the post-migration key
-			// placement, so re-executed later transactions find (or miss)
-			// exactly the rows the original run did.
+			// point: no transaction to re-execute. Replaying it restores the
+			// post-migration key placement, so re-executed later transactions
+			// find (or miss) exactly the rows the original run did.
 			if rec.MigOut {
-				var doomed []msg.MigRow
-				for _, tbl := range r.store.TableNames() {
-					r.store.Table(tbl).Ascend(rec.MigLo, rec.MigHi, func(k string, v any) bool {
-						doomed = append(doomed, msg.MigRow{Table: tbl, Key: k})
-						return true
-					})
-				}
-				for _, d := range doomed {
-					r.store.Table(d.Table).Delete(d.Key)
-				}
+				r.Store.TakeRange(rec.MigLo, rec.MigHi)
 			} else {
-				for _, mr := range rec.MigRows {
-					r.store.Table(mr.Table).Put(mr.Key, mr.Val)
-				}
+				r.Store.PutRows(rec.MigRows)
 			}
 		}
 	}
-	ctx.Spend(r.Log.ReadCost(r.logBytes))
+	ctx.Spend(r.Log.ReadCost(logBytes))
 	r.Log.Reattach(r.self)
-	inner := partition.New(partition.Config{
-		ID:       r.Partition,
-		Store:    r.store,
-		Registry: r.Registry,
-		Costs:    r.Costs,
-		Net:      r.Net,
-		Logger:   r.Log,
-		Rec:      r.Rec,
-	})
-	inner.Bind(r.self, r.EngineFactory)
-	r.promoted = inner
 	if r.Rec != nil {
-		r.Rec.NoteRestartBegun(int(r.Partition), began, ck.Bytes, r.logBytes, r.replayTxns)
+		r.Rec.NoteRestartBegun(int(r.Partition), began, ck.Bytes, logBytes, replayTxns)
 	}
-	r.Net.Send(ctx, r.Coordinator, &msg.RecoveryQuery{
-		Partition:  r.Partition,
-		NewPrimary: r.self,
-		Buffered:   append([]msg.TxnID(nil), r.bufOrder...),
-	})
-}
-
-// receivePromoted dispatches messages after the process is back up: recovery
-// traffic and old-world decisions resolve against the buffered records; all
-// normal partition traffic is delegated to the inner partition process.
-func (r *Restarter) receivePromoted(ctx *sim.Context, m sim.Message) {
-	switch v := m.(type) {
-	case *msg.RecoveryOutcome:
-		for _, o := range v.Outcomes {
-			r.resolveBuffered(ctx, o.Txn, o.Commit)
-		}
-		r.outcomeSeen = true
-		r.maybeResume(ctx)
-	case *msg.Fragment:
-		if !r.resolved {
-			// Recovery still in flight: hold new work until every buffered
-			// old-world transaction has been resolved, so their writes land
-			// before anything new executes on top of them.
-			r.stash = append(r.stash, v)
-			return
-		}
-		r.fragment(ctx, v)
-	case *msg.Decision:
-		if _, old := r.buffered[v.Txn]; old {
-			r.resolveBuffered(ctx, v.Txn, v.Commit)
-			r.maybeResume(ctx)
-			return
-		}
-		if v.Recovery {
-			return // old-world transaction with no state here
-		}
-		r.promoted.Receive(ctx, m)
-	default:
-		// Everything else — disk completions, group-commit flush ticks,
-		// engine timers — belongs to the inner partition process.
-		r.promoted.Receive(ctx, m)
-	}
-}
-
-// fragment delivers a fragment to the inner partition, deduplicating client
-// recovery resends against the replies replayed from the log.
-func (r *Restarter) fragment(ctx *sim.Context, f *msg.Fragment) {
-	if lr := r.lastReply[f.Client]; lr != nil && lr.Txn == f.Txn {
-		r.Net.Send(ctx, f.Client, lr)
-		return
-	}
-	r.promoted.Receive(ctx, f)
-}
-
-// maybeResume opens the recovered partition for business once the recovery
-// outcome has arrived and no buffered record remains. Stashed fragments
-// replay in arrival order.
-func (r *Restarter) maybeResume(ctx *sim.Context) {
-	if r.resolved || !r.outcomeSeen || len(r.buffered) > 0 {
-		return
-	}
-	r.resolved = true
-	if r.Rec != nil {
-		r.Rec.NoteRestartResumed(int(r.Partition), ctx.Now(), r.bufCommitted, r.bufDropped)
-	}
-	stash := r.stash
-	r.stash = nil
-	for _, f := range stash {
-		r.fragment(ctx, f)
-	}
-}
-
-// resolveBuffered applies or drops one buffered prepared record and appends
-// the recovered outcome to the log, keeping it self-contained: the decision
-// record the crash lost is re-created from the coordinator's answer.
-func (r *Restarter) resolveBuffered(ctx *sim.Context, id msg.TxnID, commit bool) {
-	rec, ok := r.buffered[id]
-	if !ok {
-		return
-	}
-	r.unbufferRec(id)
-	if commit {
-		r.apply(ctx, rec)
-		r.bufCommitted++
-	} else {
-		r.bufDropped++
-	}
-	r.Log.AppendDecision(ctx, id, commit)
-}
-
-// unbufferRec removes a record from the prepared buffer and its order.
-func (r *Restarter) unbufferRec(id msg.TxnID) {
-	delete(r.buffered, id)
-	for i, t := range r.bufOrder {
-		if t == id {
-			r.bufOrder = append(r.bufOrder[:i], r.bufOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// apply re-executes one logged transaction against the recovered store.
-// Replay is synchronous and deterministic (no locks, no undo — the log only
-// holds transactions whose commit was decided), priced like replica apply.
-func (r *Restarter) apply(ctx *sim.Context, rec *durable.Record) {
-	if len(rec.Works) == 0 {
-		return
-	}
-	proc := r.Registry.Get(rec.Proc)
-	for _, w := range rec.Works {
-		view := &r.view
-		view.Reset(r.store, nil, nil)
-		if _, err := proc.Run(view, w); err != nil {
-			panic(fmt.Sprintf("restarter: logged transaction %d aborted on replay: %v", rec.Txn, err))
-		}
-		ctx.Spend(r.Costs.ReplicaApply(rec.Proc, view.Reads+view.Writes, view.Writes))
-	}
-	r.Replayed++
+	r.takeOver(ctx, partition.Config{Logger: r.Log, Rec: r.Rec})
 }

@@ -236,6 +236,40 @@ func (s *Store) Clone() *Store {
 	return out
 }
 
+// Row is one row addressed store-wide: the table it lives in, its key, and its
+// value (a reference — rows are copy-on-write, so sharing it is safe). Key-range
+// migrations move rows between stores in this form.
+type Row struct {
+	Table string
+	Key   string
+	Val   any
+}
+
+// TakeRange removes every row whose key lies in [lo, hi) from every table and
+// returns the removed rows in table-registration then key order (empty hi
+// means unbounded). A migrating partition surrenders a key range with it, and
+// its backups and its log replay mirror the surrender by discarding the result.
+func (s *Store) TakeRange(lo, hi string) []Row {
+	var rows []Row
+	for _, name := range s.order {
+		s.tables[name].Ascend(lo, hi, func(k string, v any) bool {
+			rows = append(rows, Row{Table: name, Key: k, Val: v})
+			return true
+		})
+	}
+	for _, r := range rows {
+		s.tables[r.Table].Delete(r.Key)
+	}
+	return rows
+}
+
+// PutRows installs rows, the adopting side of TakeRange.
+func (s *Store) PutRows(rows []Row) {
+	for _, r := range rows {
+		s.Table(r.Table).Put(r.Key, r.Val)
+	}
+}
+
 // ApproxBytes estimates the store's serialized size — keys plus a fixed
 // per-row value charge — for pricing checkpoint writes and recovery loads.
 // The paper's workloads use deliberately tiny values (§5.1), so a coarse

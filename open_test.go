@@ -40,8 +40,8 @@ func TestOptionDefaults(t *testing.T) {
 	if !reflect.DeepEqual(db.cfg.costs, DefaultCosts()) {
 		t.Errorf("default costs differ from DefaultCosts")
 	}
-	if len(db.clients) != 40 || len(db.parts) != 2 {
-		t.Errorf("assembled %d clients / %d partitions", len(db.clients), len(db.parts))
+	if len(db.clients) != 40 || len(db.groups) != 2 {
+		t.Errorf("assembled %d clients / %d partitions", len(db.clients), len(db.groups))
 	}
 	if got := len(db.BackupStores(0)); got != 0 {
 		t.Errorf("default run has %d backups, want 0", got)
@@ -145,35 +145,4 @@ func TestDeterministicAcrossEngineWarmup(t *testing.T) {
 			t.Fatalf("%v: cold and warm results differ:\ncold: %+v\nwarm: %+v", scheme, cold, warm)
 		}
 	}
-}
-
-// TestLegacyConfigShim: the deprecated Run(Config) facade produces the same
-// Result as the equivalent Open call.
-func TestLegacyConfigShim(t *testing.T) {
-	mkCfg := func() Config {
-		return Config{
-			Partitions: 2,
-			Clients:    testClients,
-			Scheme:     Speculation,
-			Seed:       1,
-			Registry:   kvRegistry(),
-			Setup:      kvSetup(testClients),
-			Workload:   scriptOf(60, 3),
-		}
-	}
-	legacy := Run(mkCfg())
-	db := mustOpen(t, mkCfg().Options()...)
-	modern := db.Run()
-	if !reflect.DeepEqual(legacy, modern) {
-		t.Fatalf("legacy shim diverges from Open:\n%+v\n%+v", legacy, modern)
-	}
-}
-
-func TestLegacyRunPanicsOnInvalidConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run with empty Config should panic (deprecated path)")
-		}
-	}()
-	Run(Config{})
 }

@@ -168,7 +168,7 @@ func TestCrashRestartStateEquivalence(t *testing.T) {
 	// committed truth.
 	db.RunFor(10 * Millisecond)
 	preCrash := db.PartitionStore(0).Clone()
-	before := db.parts[0]
+	before := db.groups[0].primary
 
 	db.Run() // processes the crash, the restart, and the recovery
 	if !db.Quiescent() {

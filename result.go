@@ -47,9 +47,8 @@ type Result struct {
 	CommittedScan uint64
 	Retries       uint64
 	// CompletedTotal counts completions over the whole run, warm-up and
-	// post-window included. Host-side perf normalization (allocs per
-	// transaction, internal/bench.Perf) divides by this, since allocations
-	// accrue over the whole run, not just the measurement window.
+	// post-window included — the divisor for whole-run host costs
+	// (allocations accrue over the whole run, not just the window).
 	CompletedTotal uint64
 	// Latency quantiles over the window, all completions merged (the same
 	// numbers as Latency's percentiles, kept as flat fields for easy
@@ -257,26 +256,11 @@ func (db *DB) Result() Result {
 	if elapsed > 0 {
 		res.CoordUtilization = float64(db.sch.BusyTime(db.coordID)) / float64(elapsed)
 	}
-	for p := range db.parts {
-		stats := db.parts[p].EngineTotals()
-		busy := db.sch.BusyTime(db.partIDs[p])
-		if live := db.livePrimary(p); live != db.parts[p] {
-			// Failed-over partition: fold in the promoted engine's work
-			// (and its actor's busy time) on top of the dead primary's
-			// pre-crash counters.
-			stats = stats.Add(live.EngineTotals())
-			for i, b := range db.backups[p] {
-				if b.Promoted() != nil {
-					busy += db.sch.BusyTime(db.backupIDs[p][i])
-				}
-			}
-			if r := db.restarters[p]; r != nil && r.Promoted() != nil {
-				busy += db.sch.BusyTime(db.restarterIDs[p])
-			}
-		}
-		res.EngineStats = append(res.EngineStats, stats)
+	for p := range db.groups {
+		g := &db.groups[p]
+		res.EngineStats = append(res.EngineStats, g.engineStats())
 		if elapsed > 0 {
-			res.PartUtilization = append(res.PartUtilization, float64(busy)/float64(elapsed))
+			res.PartUtilization = append(res.PartUtilization, float64(g.busy(db.sch))/float64(elapsed))
 		}
 	}
 	res.LockStats = db.lockStats()

@@ -3,6 +3,7 @@ package specdb
 import (
 	"testing"
 
+	"specdb/internal/oracle"
 	"specdb/internal/storage"
 	"specdb/internal/workload"
 )
@@ -32,9 +33,9 @@ func verifyOracle(t *testing.T, setup func(PartitionID, *Store), opts ...Option)
 	t.Helper()
 	db := mustOpen(t, append(opts, withHistory())...)
 	db.Run()
-	initial := initialStores(len(db.histories), setup)
+	initial := initialStores(len(db.histories()), setup)
 	committed := 0
-	for p, h := range db.histories {
+	for p, h := range db.histories() {
 		committed += h.Len()
 		if err := h.Verify(initial[p], db.PartitionStore(PartitionID(p))); err != nil {
 			t.Errorf("partition %d: %v", p, err)
@@ -146,8 +147,8 @@ func TestOracleFlagsBrokenEngine(t *testing.T) {
 	opts := append(drainOpts(OCC, gen), withHistory(), withBrokenOCC())
 	db := mustOpen(t, opts...)
 	db.Run()
-	initial := initialStores(len(db.histories), kvSetup(testClients))
-	for p, h := range db.histories {
+	initial := initialStores(len(db.histories()), kvSetup(testClients))
+	for p, h := range db.histories() {
 		if err := h.Verify(initial[p], db.PartitionStore(PartitionID(p))); err != nil {
 			t.Logf("oracle correctly flagged partition %d: %v", p, err)
 			return
@@ -173,8 +174,8 @@ func TestOracleFlagsPhantomScans(t *testing.T) {
 		WithSetup(kvOrderedSetup(testClients)), withHistory(), withBrokenOCC())
 	db := mustOpen(t, opts...)
 	db.Run()
-	initial := initialStores(len(db.histories), kvOrderedSetup(testClients))
-	for p, h := range db.histories {
+	initial := initialStores(len(db.histories()), kvOrderedSetup(testClients))
+	for p, h := range db.histories() {
 		if err := h.Verify(initial[p], db.PartitionStore(PartitionID(p))); err != nil {
 			t.Logf("oracle correctly flagged partition %d: %v", p, err)
 			return
@@ -208,9 +209,9 @@ func TestOracleShardedAllSchemes(t *testing.T) {
 				t.Fatal(err)
 			}
 			db.Run() // empty script: drains to quiescence
-			initial := initialStores(len(db.histories), kvSetup(testClients))
+			initial := initialStores(len(db.histories()), kvSetup(testClients))
 			committed := 0
-			for p, h := range db.histories {
+			for p, h := range db.histories() {
 				committed += h.Len()
 				if err := h.Verify(initial[p], db.PartitionStore(PartitionID(p))); err != nil {
 					t.Errorf("partition %d: %v", p, err)
@@ -221,4 +222,15 @@ func TestOracleShardedAllSchemes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// histories returns each partition's oracle trace (withHistory runs).
+func (db *DB) histories() []*oracle.PartitionHistory {
+	var out []*oracle.PartitionHistory
+	for p := range db.groups {
+		if h := db.groups[p].history; h != nil {
+			out = append(out, h)
+		}
+	}
+	return out
 }

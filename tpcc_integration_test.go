@@ -112,7 +112,7 @@ func TestTPCCReplicationConverges(t *testing.T) {
 			}
 			// No prepared transaction may survive quiescence.
 			for p := 0; p < 2; p++ {
-				for r, b := range db.backups[p] {
+				for r, b := range db.groups[p].backups {
 					if n := b.BufferedLen(); n != 0 {
 						t.Errorf("partition %d backup %d leaked %d buffered transactions", p, r+1, n)
 					}
