@@ -72,6 +72,10 @@ type ExecOutcome struct {
 	// transaction's effects at this partition have already been rolled
 	// back when Aborted is true.
 	Aborted bool
+	// Suspended is true when the locker unwound the body with Suspend: the
+	// fragment's own effects are undone, nothing was charged or logged, and
+	// the engine re-runs it from its start once the lock is granted.
+	Suspended bool
 }
 
 // Env is the environment a concurrency control engine drives. It is
@@ -79,9 +83,12 @@ type ExecOutcome struct {
 type Env interface {
 	// Execute runs f's body against partition storage. withUndo records
 	// before-images under f.Txn so the transaction can roll back; locker,
-	// when non-nil, receives a Lock call for every row touched (locking
-	// scheme only). On a user or injected abort Execute rolls the
-	// transaction back before returning.
+	// when non-nil, receives a Lock call for every row touched. On a user or
+	// injected abort Execute rolls the transaction back before returning.
+	// When the locker panics with Suspend (it may only under withUndo),
+	// Execute recovers it, rolls back to where this fragment started
+	// (earlier fragments of f.Txn stay) and reports Suspended; a
+	// ConflictKill passes through to ExecuteTracked.
 	Execute(f *msg.Fragment, withUndo bool, locker storage.Locker) ExecOutcome
 	// Rollback undoes everything f.Txn has executed at this partition.
 	// It is a no-op if the transaction already rolled back.
@@ -167,6 +174,10 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 // ConflictKill is the panic sentinel an optimistic engine's access-tracking
 // storage.Locker throws when an access loses the engine's conflict rule.
 type ConflictKill struct{}
+
+// Suspend is the panic sentinel the locking engine's storage.Locker throws
+// when a lock request has to queue. Env.Execute recovers it (see there).
+type Suspend struct{}
 
 // ExecuteTracked runs f with an undo buffer under an access-tracking locker
 // and reports whether the locker killed the execution mid-fragment by

@@ -36,7 +36,7 @@ func newFakeEnv(t *testing.T) *fakeEnv {
 	return &fakeEnv{t: t, store: s, undos: make(map[msg.TxnID]*undo.Buffer)}
 }
 
-func (e *fakeEnv) Execute(f *msg.Fragment, withUndo bool, locker storage.Locker) ExecOutcome {
+func (e *fakeEnv) Execute(f *msg.Fragment, withUndo bool, locker storage.Locker) (outcome ExecOutcome) {
 	var buf *undo.Buffer
 	if withUndo {
 		buf = e.undos[f.Txn]
@@ -50,6 +50,22 @@ func (e *fakeEnv) Execute(f *msg.Fragment, withUndo bool, locker storage.Locker)
 			buf.Rollback()
 		}
 		return ExecOutcome{Aborted: true}
+	}
+	if locker != nil {
+		// The partition's contract: a body the locker unwinds with Suspend
+		// is rolled back to where this fragment started.
+		mark := buf.Len()
+		defer func() {
+			r := recover()
+			if r == nil {
+				return
+			}
+			if _, ok := r.(Suspend); !ok {
+				panic(r)
+			}
+			buf.RollbackTo(mark)
+			outcome = ExecOutcome{Suspended: true}
+		}()
 	}
 	view := storage.NewTxnView(e.store, buf, locker)
 	out, err := f.Work.(workFn)(view)

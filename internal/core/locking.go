@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -29,32 +28,45 @@ const DefaultDeadlockTimeout = 2 * sim.Millisecond
 // single-threaded partition. When no transactions are active, an arriving
 // single-partition transaction runs without locks or undo, exactly like the
 // other schemes' fast path. Otherwise transactions acquire row locks as they
-// access data and suspend on conflict.
+// access data and wait on conflict.
 //
-// Suspension uses fibers: each executing fragment runs on its own goroutine
-// with strict synchronous handoff (engine and fiber are never runnable
-// simultaneously), so execution can block mid-fragment while the engine
-// stays deterministic. Local deadlocks are detected by waits-for cycle
-// search at block time, preferring single-partition victims; distributed
-// deadlocks fall to a timeout.
+// A fragment runs inline on the engine's own stack. When one of its lock
+// requests has to queue, the locker unwinds the body with Suspend, Env.Execute
+// undoes what this fragment wrote (the transaction's earlier rounds and every
+// lock it holds stay), and the transaction is parked. When Release returns its
+// grant the fragment is re-run from its start; the requests it repeats are
+// re-entrant and immediate, so it gets past the point where it stopped. Virtual
+// CPU is charged only by the run that completes, from that run's own access
+// counts: exactly what a fragment that waited in place would be charged. Local
+// deadlocks are detected by waits-for cycle search at block time, preferring
+// single-partition victims; distributed deadlocks fall to a timeout.
 type LockEngine struct {
 	env    Env
 	cfg    LockConfig
 	lm     *locks.Manager
 	active map[msg.TxnID]*ltxn
 	stats  EngineStats
+	// free recycles the records of finished transactions.
+	free []*ltxn
+	// locker serves every execution: fragments never overlap.
+	locker locker
+	// repeated counts lock requests that re-runs made a second time. They
+	// are all re-entrant, so LockStats takes them off Acquires and Immediate
+	// and reports each request of a fragment once however often it ran.
+	repeated uint64
 }
 
 type ltxn struct {
-	id       msg.TxnID
-	mp       bool
-	frag     *msg.Fragment
-	fiber    *fiber
-	blocked  bool
-	finished bool // voted (last fragment executed)
+	id      msg.TxnID
+	mp      bool
+	frag    *msg.Fragment
+	blocked bool
 	// waitEpoch increments on every suspension so that a stale timeout
 	// (armed for an earlier wait that was granted) is ignored.
 	waitEpoch int
+	// requested is how many lock requests the parked attempt made, the one
+	// that queued included: what a re-run repeats.
+	requested uint64
 }
 
 // NewLocking returns a locking engine bound to env.
@@ -77,7 +89,12 @@ func (e *LockEngine) Scheme() Scheme { return SchemeLocking }
 func (e *LockEngine) Stats() EngineStats { return e.stats }
 
 // LockStats exposes the lock manager's counters (§5.6 profiling).
-func (e *LockEngine) LockStats() locks.Stats { return e.lm.Stats() }
+func (e *LockEngine) LockStats() locks.Stats {
+	s := e.lm.Stats()
+	s.Acquires -= e.repeated
+	s.Immediate -= e.repeated
+	return s
+}
 
 // ActiveCount reports transactions currently holding the partition.
 func (e *LockEngine) ActiveCount() int { return len(e.active) }
@@ -101,7 +118,13 @@ func (e *LockEngine) Fragment(f *msg.Fragment) {
 		RunIdleSP(e.env, f, &e.stats)
 		return
 	}
-	lt := &ltxn{id: f.Txn, mp: f.MultiPartition, frag: f}
+	var lt *ltxn
+	if n := len(e.free); n > 0 {
+		lt, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		lt = new(ltxn)
+	}
+	*lt = ltxn{id: f.Txn, mp: f.MultiPartition}
 	e.active[f.Txn] = lt
 	e.runFragment(lt, f)
 }
@@ -116,26 +139,29 @@ func (e *LockEngine) Decision(d *msg.Decision) {
 		// whose no-vote triggered this abort); nothing to do.
 		return
 	}
-	if lt.fiber != nil {
-		// An abort decided elsewhere (another participant voted no)
-		// can arrive while our fragment is still blocked on a lock:
-		// unwind the fiber first.
-		if d.Commit || !lt.blocked {
-			panic(fmt.Sprintf("locking: decision commit=%v for %d while fragment in flight", d.Commit, d.Txn))
+	if lt.blocked {
+		// An abort decided elsewhere (another participant voted no) can
+		// arrive while our fragment is parked on a lock; Release below
+		// cancels the queued request.
+		if d.Commit {
+			panic(fmt.Sprintf("locking: commit decision for %d while its fragment waits for a lock", d.Txn))
 		}
 		lt.blocked = false
-		lt.fiber.resume <- false
-		if y := <-lt.fiber.yield; !y.done || y.err != errKilled {
-			panic("locking: fiber did not unwind on abort decision")
-		}
-		lt.fiber = nil
 	}
 	if !d.Commit {
 		e.env.Rollback(d.Txn)
 	}
-	e.env.Forget(d.Txn)
-	delete(e.active, d.Txn)
-	e.resume(e.lm.Release(d.Txn))
+	e.resume(e.retire(lt))
+}
+
+// retire ends lt at this partition: its undo state and its locks go, and the
+// record is kept for the next transaction. The grants its release produced
+// are the caller's to resume, after it has sent what it has to send.
+func (e *LockEngine) retire(lt *ltxn) []locks.Grant {
+	e.env.Forget(lt.id)
+	delete(e.active, lt.id)
+	e.free = append(e.free, lt)
+	return e.lm.Release(lt.id)
 }
 
 // timeoutMsg asks the engine to check a blocked transaction.
@@ -158,37 +184,16 @@ func (e *LockEngine) Timer(payload any) {
 	e.kill(lt)
 }
 
-// errKilled marks a fragment terminated as a deadlock or timeout victim.
-var errKilled = errors.New("locking: killed")
-
-// killSentinel is the panic value used to unwind a victim's fiber.
-type killSentinel struct{}
-
-// fiber is a suspended fragment execution. Handoff is strictly synchronous:
-// the engine blocks on yield whenever the fiber is runnable, and the fiber
-// blocks on resume whenever the engine is runnable.
-type fiber struct {
-	resume chan bool // engine → fiber: true = lock granted, false = killed
-	yield  chan fiberYield
+// locker implements storage.RangeLocker for the fragment being executed.
+type locker struct {
+	lm  *locks.Manager
+	txn msg.TxnID
+	n   uint64 // requests made by this execution
 }
 
-type fiberYield struct {
-	done bool
-	out  any
-	err  error
-}
-
-// fiberLocker implements storage.Locker for a fragment running on a fiber.
-type fiberLocker struct {
-	eng *LockEngine
-	lt  *ltxn
-}
-
-// Lock acquires the row lock, suspending the fiber on conflict. The handoff
-// guarantees the lock manager is only touched while the engine goroutine is
-// parked, so there is no physical concurrency — matching the paper's
-// latch-free single-threaded lock manager.
-func (l *fiberLocker) Lock(table, key string, exclusive bool) {
+// Lock acquires the row lock, or unwinds the fragment body with Suspend when
+// the request queues.
+func (l *locker) Lock(table, key string, exclusive bool) {
 	mode := locks.Shared
 	if exclusive {
 		mode = locks.Exclusive
@@ -196,81 +201,51 @@ func (l *fiberLocker) Lock(table, key string, exclusive bool) {
 	l.acquire(locks.Key{Table: table, Row: key}, mode)
 }
 
-// LockRange acquires shared gap coverage of [lo, hi) for a scan, suspending
-// the fiber like Lock when a writer holds or wants a key inside the range.
-// Strict 2PL holds the range until commit, so no writer can slip a phantom
-// into a scanned range before the scanner finishes.
-func (l *fiberLocker) LockRange(table, lo, hi string) {
+// LockRange acquires shared gap coverage of [lo, hi) for a scan, unwinding
+// like Lock when a writer holds or wants a key inside the range. Strict 2PL
+// holds the range until commit, so no writer can slip a phantom into a
+// scanned range before the scanner finishes.
+func (l *locker) LockRange(table, lo, hi string) {
 	l.acquire(locks.Key{Table: table, Row: lo, Hi: hi, IsRange: true}, locks.Shared)
 }
 
-func (l *fiberLocker) acquire(k locks.Key, mode locks.Mode) {
-	if l.eng.lm.Acquire(l.lt.id, k, mode) {
-		return
-	}
-	l.lt.fiber.yield <- fiberYield{done: false}
-	if granted := <-l.lt.fiber.resume; !granted {
-		panic(killSentinel{})
+func (l *locker) acquire(k locks.Key, mode locks.Mode) {
+	l.n++
+	if !l.lm.Acquire(l.txn, k, mode) {
+		panic(Suspend{})
 	}
 }
 
-// runFragment starts f's body on a fresh fiber and services it until it
-// completes or suspends.
+// runFragment executes f's body and reacts to how it ended.
 func (e *LockEngine) runFragment(lt *ltxn, f *msg.Fragment) {
 	lt.frag = f
-	fb := &fiber{resume: make(chan bool), yield: make(chan fiberYield)}
-	lt.fiber = fb
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isKill := r.(killSentinel); isKill {
-					fb.yield <- fiberYield{done: true, err: errKilled}
-					return
-				}
-				panic(r)
-			}
-		}()
-		out := e.env.Execute(f, true, &fiberLocker{eng: e, lt: lt})
-		var err error
-		if out.Aborted {
-			err = errUserAborted
-		}
-		fb.yield <- fiberYield{done: true, out: out.Output, err: err}
-	}()
-	e.service(lt)
-}
-
-var errUserAborted = errors.New("locking: user aborted")
-
-// service waits for lt's fiber to yield and reacts.
-func (e *LockEngine) service(lt *ltxn) {
-	y := <-lt.fiber.yield
-	if !y.done {
-		// Suspended on a lock conflict.
-		lt.blocked = true
-		lt.waitEpoch++
-		if cycle := e.lm.FindCycle(lt.id); cycle != nil {
-			e.stats.DeadlockKills++
-			e.kill(e.chooseVictim(cycle))
-			return
-		}
-		if lt.mp {
-			e.env.After(e.cfg.DeadlockTimeout, timeoutMsg{txn: lt.id, epoch: lt.waitEpoch})
-		}
-		return
-	}
-	lt.fiber = nil
-	switch y.err {
-	case nil:
-		e.fragmentCommitted(lt, y.out)
-	case errUserAborted:
+	e.locker = locker{lm: e.lm, txn: lt.id}
+	out := e.env.Execute(f, true, &e.locker)
+	switch {
+	case out.Suspended:
+		lt.requested = e.locker.n
+		e.park(lt)
+	case out.Aborted:
 		e.stats.Executed++
 		e.stats.LocalAborts++
-		e.finishAborted(lt, y.out, false)
-	case errKilled:
-		// kill() completes the cleanup.
+		e.finishAborted(lt, out.Output, false)
 	default:
-		panic(y.err)
+		e.fragmentCommitted(lt, out.Output)
+	}
+}
+
+// park records that lt's fragment waits for a lock, and looks for the
+// deadlock the new wait may have closed.
+func (e *LockEngine) park(lt *ltxn) {
+	lt.blocked = true
+	lt.waitEpoch++
+	if cycle := e.lm.FindCycle(lt.id); cycle != nil {
+		e.stats.DeadlockKills++
+		e.kill(e.chooseVictim(cycle))
+		return
+	}
+	if lt.mp {
+		e.env.After(e.cfg.DeadlockTimeout, timeoutMsg{txn: lt.id, epoch: lt.waitEpoch})
 	}
 }
 
@@ -279,17 +254,12 @@ func (e *LockEngine) fragmentCommitted(lt *ltxn, out any) {
 	e.stats.Executed++
 	f := lt.frag
 	if lt.mp {
-		if f.Last {
-			lt.finished = true
-		}
 		// Locks are held until the 2PC decision (strict 2PL).
 		e.env.SendResult(f, NewResult(f, out, false))
 		return
 	}
 	// Single-partition: the transaction is complete — commit, release.
-	e.env.Forget(lt.id)
-	delete(e.active, lt.id)
-	grants := e.lm.Release(lt.id)
+	grants := e.retire(lt)
 	e.env.ReplyClient(f, NewCommitReply(f, out))
 	e.resume(grants)
 }
@@ -299,9 +269,7 @@ func (e *LockEngine) fragmentCommitted(lt *ltxn, out any) {
 // effects for user aborts; kills roll back here.
 func (e *LockEngine) finishAborted(lt *ltxn, out any, killed bool) {
 	e.env.Rollback(lt.id)
-	e.env.Forget(lt.id)
-	delete(e.active, lt.id)
-	grants := e.lm.Release(lt.id)
+	grants := e.retire(lt)
 	if killed {
 		SendKilled(e.env, lt.frag)
 	} else {
@@ -310,23 +278,18 @@ func (e *LockEngine) finishAborted(lt *ltxn, out any, killed bool) {
 	e.resume(grants)
 }
 
-// kill terminates a blocked victim: unwind its fiber, roll back, release its
-// locks and waits, and tell its coordinator/client.
+// kill terminates a parked victim: roll back its earlier rounds (the parked
+// fragment is already undone), release its locks and its queued request, and
+// tell its coordinator/client.
 func (e *LockEngine) kill(lt *ltxn) {
 	if !lt.blocked {
 		panic("locking: kill of non-blocked transaction")
 	}
 	lt.blocked = false
-	lt.fiber.resume <- false
-	y := <-lt.fiber.yield
-	if !y.done || y.err != errKilled {
-		panic("locking: victim fiber did not unwind")
-	}
-	lt.fiber = nil
 	e.finishAborted(lt, nil, true)
 }
 
-// resume restarts fibers whose lock requests were just granted.
+// resume re-runs the fragments whose lock requests were just granted.
 func (e *LockEngine) resume(grants []locks.Grant) {
 	for _, g := range grants {
 		lt, ok := e.active[g.Txn]
@@ -334,8 +297,8 @@ func (e *LockEngine) resume(grants []locks.Grant) {
 			continue
 		}
 		lt.blocked = false
-		lt.fiber.resume <- true
-		e.service(lt)
+		e.repeated += lt.requested
+		e.runFragment(lt, lt.frag)
 	}
 }
 

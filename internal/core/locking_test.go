@@ -1,8 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"runtime"
+	"strings"
 	"testing"
 
+	"specdb/internal/locks"
 	"specdb/internal/msg"
 	"specdb/internal/storage"
 )
@@ -323,5 +330,167 @@ func TestLockingMultiRoundHoldsLocksAcrossRounds(t *testing.T) {
 	e.Decision(&msg.Decision{Txn: 1, Commit: true})
 	if env.get("x") != 17 {
 		t.Fatalf("x = %d", env.get("x"))
+	}
+}
+
+// scanRange ascends [lo, hi) and reports what it saw as "k=v k=v ...".
+func scanRange(lo, hi string) workFn {
+	return func(v *storage.TxnView) (any, error) {
+		var seen []string
+		v.Ascend("kv", lo, hi, func(k string, val any) bool {
+			seen = append(seen, fmt.Sprintf("%s=%d", k, val.(int)))
+			return true
+		})
+		return strings.Join(seen, " "), nil
+	}
+}
+
+// A scanner that has to wait inside Ascend — the row it reached is a not yet
+// decided insert — must come back to the table as the decision left it. When
+// fragments waited in place on a goroutine of their own, the scan resumed
+// inside a B-tree walk that the abort's rollback had pulled the row out from
+// under: it reported the aborted row and skipped the one after it.
+func TestLockingScanBlockedOnAbortedInsert(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		commit bool
+		want   string
+	}{
+		{"abort", false, "a=1 c=3"},
+		{"commit", true, "a=1 b=100 c=3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newFakeEnv(t)
+			env.set("a", 1)
+			env.set("c", 3)
+			e := NewLocking(env, LockConfig{})
+			e.Fragment(mpFrag(1, 0, true, 7, writeKey("b", 100)))
+			e.Fragment(spFrag(2, scanRange("a", "d")))
+			requireReplies(t, env, 0) // parked on b
+			e.Decision(&msg.Decision{Txn: 1, Commit: tc.commit})
+			requireReplies(t, env, 1)
+			if got := env.replies[0].Output; got != tc.want {
+				t.Fatalf("scan saw %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// parkedRound1 drives a two-round multi-partition transaction 2 to the point
+// where its round-1 fragment is parked: round 0 wrote x, round 1 wrote z and
+// then asked for y, which transaction 1 holds.
+func parkedRound1(t *testing.T) (*fakeEnv, *LockEngine) {
+	env := newFakeEnv(t)
+	env.set("x", 5)
+	env.set("y", 10)
+	e := NewLocking(env, LockConfig{})
+	e.Fragment(mpFrag(1, 0, true, 7, writeKey("y", 20)))
+	e.Fragment(mpFrag(2, 0, false, 8, writeKey("x", 50)))
+	requireResults(t, env, 2)
+	e.Fragment(mpFrag(2, 1, true, 8, func(v *storage.TxnView) (any, error) {
+		v.Put("kv", "z", 7)
+		cur, _ := v.GetForUpdate("kv", "y")
+		v.Put("kv", "y", cur.(int)+1)
+		return cur, nil
+	}))
+	requireResults(t, env, 2) // no vote yet
+	if env.get("x") != 50 {
+		t.Fatalf("x = %d while parked; round 0's write must stay", env.get("x"))
+	}
+	if _, ok := env.store.Table("kv").Get("z"); ok {
+		t.Fatal("z present while parked; the unwound fragment's write must be undone")
+	}
+	return env, e
+}
+
+func TestLockingRerunKeepsEarlierRounds(t *testing.T) {
+	env, e := parkedRound1(t)
+	e.Decision(&msg.Decision{Txn: 1, Commit: true})
+	// The grant re-ran round 1 from its start: it read the committed y.
+	requireResults(t, env, 3)
+	if r := env.results[2]; r.Txn != 2 || r.Round != 1 || r.Aborted || r.Output != 20 {
+		t.Fatalf("round 1 result = %+v", r)
+	}
+	e.Decision(&msg.Decision{Txn: 2, Commit: true})
+	if env.get("x") != 50 || env.get("y") != 21 || env.get("z") != 7 {
+		t.Fatalf("x=%d y=%d z=%d", env.get("x"), env.get("y"), env.get("z"))
+	}
+	// Every request counts once however often its fragment ran: y by txn 1;
+	// x, z, y (queued) and y again for the write by txn 2.
+	want := locks.Stats{Acquires: 5, Immediate: 4, Waits: 1, Releases: 4}
+	if got := e.LockStats(); got != want {
+		t.Fatalf("lock stats = %+v, want %+v", got, want)
+	}
+	if e.Stats().Executed != 3 {
+		t.Fatalf("executed = %d, want 3 (the unwound run is not an execution)", e.Stats().Executed)
+	}
+	if e.ActiveCount() != 0 || len(env.undos) != 0 {
+		t.Fatal("transaction state leaked")
+	}
+}
+
+func TestLockingKillWhileParkedRollsBackAllRounds(t *testing.T) {
+	env, e := parkedRound1(t)
+	if len(env.timers) != 1 {
+		t.Fatalf("timers = %d, want the parked fragment's deadlock timeout", len(env.timers))
+	}
+	e.Timer(env.timers[0].payload)
+	requireResults(t, env, 3)
+	if r := env.results[2]; r.Txn != 2 || !r.Killed {
+		t.Fatalf("victim result = %+v", r)
+	}
+	if env.get("x") != 5 {
+		t.Fatalf("x = %d; the kill must roll back round 0 too", env.get("x"))
+	}
+	if _, ok := env.store.Table("kv").Get("z"); ok {
+		t.Fatal("z survived the kill")
+	}
+	// A victim is never re-run, so its requests stay counted as made: y by
+	// txn 1; x, z and the queued y by txn 2, which held x and z.
+	want := locks.Stats{Acquires: 4, Immediate: 3, Waits: 1, Releases: 2}
+	if got := e.LockStats(); got != want {
+		t.Fatalf("lock stats = %+v, want %+v", got, want)
+	}
+	e.Decision(&msg.Decision{Txn: 1, Commit: true})
+	if env.get("y") != 20 || e.ActiveCount() != 0 {
+		t.Fatalf("y = %d, active = %d", env.get("y"), e.ActiveCount())
+	}
+}
+
+// The engine runs on its caller's stack alone: transactions parked on locks
+// are plain data, and nothing in the package can start a goroutine or make a
+// channel to hand a fragment to.
+func TestLockingUsesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := newFakeEnv(t)
+	env.set("x", 0)
+	e := NewLocking(env, LockConfig{})
+	e.Fragment(mpFrag(1, 0, true, 7, incrKey("x")))
+	for id := uint64(2); id <= 5; id++ {
+		e.Fragment(spFrag(id, incrKey("x")))
+	}
+	if e.ActiveCount() != 5 {
+		t.Fatalf("active = %d, want 5 (four parked behind one)", e.ActiveCount())
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before, %d with four transactions parked", before, after)
+	}
+
+	files, err := parser.ParseDir(token.NewFileSet(), ".", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range files {
+		for name, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: go statement", name)
+				case *ast.ChanType:
+					t.Errorf("%s: channel type", name)
+				}
+				return true
+			})
+		}
 	}
 }

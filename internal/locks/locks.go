@@ -142,43 +142,95 @@ type waiter struct {
 	upgrade bool
 }
 
+type holder struct {
+	txn  msg.TxnID
+	mode Mode
+}
+
+// entry is one key's lock state. A row is nearly always held by one
+// transaction with nobody waiting, so holders is a slice searched linearly.
 type entry struct {
-	holders map[msg.TxnID]Mode
+	key     Key
+	holders []holder
 	queue   []waiter
+}
+
+// mode returns the mode in which txn holds e.
+func (e *entry) mode(txn msg.TxnID) (Mode, bool) {
+	for _, h := range e.holders {
+		if h.txn == txn {
+			return h.mode, true
+		}
+	}
+	return 0, false
+}
+
+// soleHolder reports whether txn is e's only holder.
+func (e *entry) soleHolder(txn msg.TxnID) bool {
+	return len(e.holders) == 1 && e.holders[0].txn == txn
+}
+
+// blocks reports whether a holder of e other than txn is incompatible with
+// a request in the given mode.
+func (e *entry) blocks(txn msg.TxnID, mode Mode) bool {
+	for _, h := range e.holders {
+		if h.txn != txn && !compatible(mode, h.mode) {
+			return true
+		}
+	}
+	return false
+}
+
+// compareEntries orders entries by key, for deterministic grant order.
+func compareEntries(a, b *entry) int { return compareKeys(a.key, b.key) }
+
+func (e *entry) drop(txn msg.TxnID) {
+	for i, h := range e.holders {
+		if h.txn == txn {
+			e.holders = append(e.holders[:i], e.holders[i+1:]...)
+			return
+		}
+	}
+}
+
+// txnLocks is what one transaction holds and waits for.
+type txnLocks struct {
+	// held lists the entries the transaction holds, in acquisition order.
+	held []*entry
+	// waiting is the entry the transaction is queued on, if any.
+	waiting *entry
 }
 
 // Manager is one partition's lock table.
 type Manager struct {
 	table map[Key]*entry
-	// held tracks every key held per transaction, for release.
-	held map[msg.TxnID]map[Key]Mode
-	// waitingOn maps a blocked transaction to the key it is queued for.
-	waitingOn map[msg.TxnID]Key
-	stats     Stats
+	txns  map[msg.TxnID]*txnLocks
+	stats Stats
 
-	// freeEntries and freeHeld recycle emptied lock entries and per-txn held
-	// maps. Every transaction acquires and fully releases a handful of row
+	// freeEntries and freeTxns recycle emptied lock entries and per-txn
+	// records. Every transaction acquires and fully releases a handful of row
 	// locks, and without recycling each acquire/release cycle re-allocates
-	// the entry, its holders map and the held map — the lock manager was a
-	// top allocator in whole-run profiles, the opposite of the paper's
-	// "much lower overhead than traditional locking" claim (§4.3).
+	// them — the lock manager was a top allocator in whole-run profiles, the
+	// opposite of the paper's "much lower overhead than traditional locking"
+	// claim (§4.3).
 	freeEntries []*entry
-	freeHeld    []map[Key]Mode
-	// scratch reuses Release's deterministic key-ordering buffer.
-	scratch []Key
+	freeTxns    []*txnLocks
+	// scratch reuses Release's deterministic key-ordering buffer; path,
+	// visited and edges are FindCycle's.
+	scratch              []*entry
+	path, visited, edges []msg.TxnID
 
-	// rangeKeys lists the range keys currently in the table. While it is
+	// ranges lists the range entries currently in the table. While it is
 	// empty — every run without scans — the point path takes no overlap
 	// checks and behaves byte-identically to a range-free manager.
-	rangeKeys []Key
+	ranges []*entry
 }
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
-		table:     make(map[Key]*entry),
-		held:      make(map[msg.TxnID]map[Key]Mode),
-		waitingOn: make(map[msg.TxnID]Key),
+		table: make(map[Key]*entry),
+		txns:  make(map[msg.TxnID]*txnLocks),
 	}
 }
 
@@ -189,26 +241,52 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) Active() bool { return len(m.table) > 0 }
 
 // HeldCount returns how many keys txn currently holds.
-func (m *Manager) HeldCount(txn msg.TxnID) int { return len(m.held[txn]) }
+func (m *Manager) HeldCount(txn msg.TxnID) int {
+	if tl := m.txns[txn]; tl != nil {
+		return len(tl.held)
+	}
+	return 0
+}
 
 // Holds reports whether txn holds k at least in the given mode.
 func (m *Manager) Holds(txn msg.TxnID, k Key, mode Mode) bool {
-	got, ok := m.held[txn][k]
+	e := m.table[k]
+	if e == nil {
+		return false
+	}
+	got, ok := e.mode(txn)
 	return ok && (got == Exclusive || mode == Shared)
 }
 
 // Waiting reports whether txn is queued for some lock.
 func (m *Manager) Waiting(txn msg.TxnID) bool {
-	_, ok := m.waitingOn[txn]
-	return ok
+	tl := m.txns[txn]
+	return tl != nil && tl.waiting != nil
+}
+
+// locksOf returns txn's record, creating it on the transaction's first
+// request.
+func (m *Manager) locksOf(txn msg.TxnID) *txnLocks {
+	tl := m.txns[txn]
+	if tl == nil {
+		if n := len(m.freeTxns); n > 0 {
+			tl = m.freeTxns[n-1]
+			m.freeTxns = m.freeTxns[:n-1]
+		} else {
+			tl = &txnLocks{}
+		}
+		m.txns[txn] = tl
+	}
+	return tl
 }
 
 // Acquire requests k in the given mode for txn. It returns true if the lock
-// was granted immediately; false means txn is now queued and must suspend
-// until a Grant for it is returned by Release or Remove.
+// was granted immediately; false means txn is now queued and must wait until
+// Release returns a Grant for it.
 func (m *Manager) Acquire(txn msg.TxnID, k Key, mode Mode) bool {
 	m.stats.Acquires++
-	if m.Waiting(txn) {
+	tl := m.locksOf(txn)
+	if tl.waiting != nil {
 		panic("locks: Acquire while already waiting")
 	}
 	e := m.table[k]
@@ -217,50 +295,42 @@ func (m *Manager) Acquire(txn msg.TxnID, k Key, mode Mode) bool {
 			e = m.freeEntries[n-1]
 			m.freeEntries = m.freeEntries[:n-1]
 		} else {
-			e = &entry{holders: make(map[msg.TxnID]Mode)}
+			e = &entry{}
 		}
+		e.key = k
 		m.table[k] = e
 		if k.IsRange {
-			m.rangeKeys = append(m.rangeKeys, k)
+			m.ranges = append(m.ranges, e)
 		}
 	}
-	if cur, holds := e.holders[txn]; holds {
+	if cur, holds := e.mode(txn); holds {
 		if cur == Exclusive || mode == Shared {
 			m.stats.Immediate++
 			return true // reentrant, already sufficient
 		}
 		// Upgrade request.
 		m.stats.Upgrades++
-		if len(e.holders) == 1 && !m.conflictsElsewhere(txn, k, Exclusive) {
-			e.holders[txn] = Exclusive
-			m.held[txn][k] = Exclusive
+		if e.soleHolder(txn) && !m.conflictsElsewhere(txn, k, Exclusive) {
+			e.holders[0].mode = Exclusive
 			m.stats.Immediate++
 			return true
 		}
 		// Queue the upgrade ahead of ordinary waiters.
-		e.queue = append([]waiter{{txn: txn, mode: Exclusive, upgrade: true}}, e.queue...)
-		m.waitingOn[txn] = k
+		e.queue = slices.Insert(e.queue, 0, waiter{txn: txn, mode: Exclusive, upgrade: true})
+		tl.waiting = e
 		m.stats.Waits++
 		return false
 	}
-	if len(e.queue) == 0 && m.compatibleWithHolders(e, mode) && !m.conflictsElsewhere(txn, k, mode) {
-		m.grant(e, txn, k, mode)
+	if len(e.queue) == 0 && !e.blocks(txn, mode) && !m.conflictsElsewhere(txn, k, mode) {
+		e.holders = append(e.holders, holder{txn, mode})
+		tl.held = append(tl.held, e)
 		m.stats.Immediate++
 		return true
 	}
 	e.queue = append(e.queue, waiter{txn: txn, mode: mode})
-	m.waitingOn[txn] = k
+	tl.waiting = e
 	m.stats.Waits++
 	return false
-}
-
-func (m *Manager) compatibleWithHolders(e *entry, mode Mode) bool {
-	for _, hm := range e.holders {
-		if !compatible(mode, hm) {
-			return false
-		}
-	}
-	return true
 }
 
 // conflictsElsewhere reports whether a request on k conflicts with a holder of
@@ -271,48 +341,23 @@ func (m *Manager) compatibleWithHolders(e *entry, mode Mode) bool {
 // path stays exactly as fast and as ordered as before ranges existed. Only
 // holder existence matters, so iterating Go's unordered maps is deterministic.
 func (m *Manager) conflictsElsewhere(txn msg.TxnID, k Key, mode Mode) bool {
-	if len(m.rangeKeys) == 0 {
+	if len(m.ranges) == 0 {
 		return false
 	}
-	for _, rk := range m.rangeKeys {
-		if rk == k || !overlaps(k, rk) {
-			continue
-		}
-		for h, hm := range m.table[rk].holders {
-			if h != txn && !compatible(mode, hm) {
-				return true
-			}
+	for _, re := range m.ranges {
+		if re.key != k && overlaps(k, re.key) && re.blocks(txn, mode) {
+			return true
 		}
 	}
 	if !k.IsRange {
 		return false
 	}
 	for pk, e := range m.table {
-		if pk.IsRange || pk == k || !overlaps(k, pk) {
-			continue
-		}
-		for h, hm := range e.holders {
-			if h != txn && !compatible(mode, hm) {
-				return true
-			}
+		if !pk.IsRange && overlaps(k, pk) && e.blocks(txn, mode) {
+			return true
 		}
 	}
 	return false
-}
-
-func (m *Manager) grant(e *entry, txn msg.TxnID, k Key, mode Mode) {
-	e.holders[txn] = mode
-	hm := m.held[txn]
-	if hm == nil {
-		if n := len(m.freeHeld); n > 0 {
-			hm = m.freeHeld[n-1]
-			m.freeHeld = m.freeHeld[:n-1]
-		} else {
-			hm = make(map[Key]Mode)
-		}
-		m.held[txn] = hm
-	}
-	hm[k] = mode
 }
 
 // Release releases every lock held by txn and removes any queued request it
@@ -320,41 +365,48 @@ func (m *Manager) grant(e *entry, txn msg.TxnID, k Key, mode Mode) {
 // phase locking releases only at commit/abort, so there is no single-lock
 // release.
 func (m *Manager) Release(txn msg.TxnID) []Grant {
+	tl := m.txns[txn]
+	if tl == nil {
+		return nil
+	}
 	var grants []Grant
-	ranged := len(m.rangeKeys) > 0
+	ranged := len(m.ranges) > 0
 	// Cancel a pending wait first.
-	if k, ok := m.waitingOn[txn]; ok {
-		e := m.table[k]
+	if e := tl.waiting; e != nil {
 		for i, w := range e.queue {
 			if w.txn == txn {
 				e.queue = append(e.queue[:i], e.queue[i+1:]...)
 				break
 			}
 		}
-		delete(m.waitingOn, txn)
-		grants = m.drainQueue(e, k, grants)
-		m.maybeFree(k, e)
+		tl.waiting = nil
+		grants = m.drainQueue(e, grants)
+		m.maybeFree(e)
 	}
-	// Sort keys: deterministic grant order keeps whole-system runs
-	// reproducible (map iteration order is randomized).
-	keys := m.scratch[:0]
-	for k := range m.held[txn] {
-		keys = append(keys, k)
+	// Grants go out in key order, which keeps whole-system runs reproducible
+	// whatever order the transaction took its locks in. Without ranges only an
+	// entry's own queue can be granted from, so the order in which entries
+	// nobody waits on are released is unobservable: they go first, unsorted.
+	queued := m.scratch[:0]
+	for _, e := range tl.held {
+		if ranged || len(e.queue) > 0 {
+			queued = append(queued, e)
+			continue
+		}
+		e.drop(txn)
+		m.maybeFree(e)
 	}
-	slices.SortFunc(keys, compareKeys)
-	for _, k := range keys {
-		e := m.table[k]
-		delete(e.holders, txn)
-		m.stats.Releases++
-		grants = m.drainQueue(e, k, grants)
-		m.maybeFree(k, e)
+	slices.SortFunc(queued, compareEntries)
+	for _, e := range queued {
+		e.drop(txn)
+		grants = m.drainQueue(e, grants)
+		m.maybeFree(e)
 	}
-	m.scratch = keys
-	if hm := m.held[txn]; hm != nil {
-		delete(m.held, txn)
-		clear(hm)
-		m.freeHeld = append(m.freeHeld, hm)
-	}
+	m.stats.Releases += uint64(len(tl.held))
+	m.scratch = queued
+	delete(m.txns, txn)
+	tl.held = tl.held[:0]
+	m.freeTxns = append(m.freeTxns, tl)
 	if ranged {
 		// Releasing range coverage can unblock waiters queued on *other*
 		// entries (points inside the range, overlapping ranges); the per-key
@@ -370,143 +422,118 @@ func (m *Manager) Release(txn msg.TxnID) []Grant {
 // grants nothing. Only invoked when range keys are (or were just) in play.
 func (m *Manager) drainAll(grants []Grant) []Grant {
 	for {
-		var pending []Key
-		for k, e := range m.table {
+		var pending []*entry
+		for _, e := range m.table {
 			if len(e.queue) > 0 {
-				pending = append(pending, k)
+				pending = append(pending, e)
 			}
 		}
 		if len(pending) == 0 {
 			return grants
 		}
-		slices.SortFunc(pending, compareKeys)
-		progress := false
-		for _, k := range pending {
-			e := m.table[k]
-			if e == nil {
-				continue
-			}
-			before := len(grants)
-			grants = m.drainQueue(e, k, grants)
-			m.maybeFree(k, e)
-			if len(grants) > before {
-				progress = true
-			}
+		slices.SortFunc(pending, compareEntries)
+		before := len(grants)
+		for _, e := range pending {
+			grants = m.drainQueue(e, grants)
+			m.maybeFree(e)
 		}
-		if !progress {
+		if len(grants) == before {
 			return grants
 		}
 	}
 }
 
 // drainQueue grants as many queued requests as now fit, in FIFO order.
-func (m *Manager) drainQueue(e *entry, k Key, grants []Grant) []Grant {
+func (m *Manager) drainQueue(e *entry, grants []Grant) []Grant {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
+		tl := m.txns[w.txn]
 		if w.upgrade {
 			// Grantable only when w.txn is the sole holder.
-			if len(e.holders) == 1 && !m.conflictsElsewhere(w.txn, k, Exclusive) {
-				if _, ok := e.holders[w.txn]; ok {
-					e.holders[w.txn] = Exclusive
-					m.held[w.txn][k] = Exclusive
-					delete(m.waitingOn, w.txn)
-					grants = append(grants, Grant{Txn: w.txn, K: k, Mode: Exclusive})
-					e.queue = e.queue[1:]
-					continue
-				}
+			if !e.soleHolder(w.txn) || m.conflictsElsewhere(w.txn, e.key, Exclusive) {
+				return grants
 			}
-			return grants
+			e.holders[0].mode = Exclusive
+		} else {
+			if e.blocks(w.txn, w.mode) || m.conflictsElsewhere(w.txn, e.key, w.mode) {
+				return grants
+			}
+			e.holders = append(e.holders, holder{w.txn, w.mode})
+			tl.held = append(tl.held, e)
 		}
-		if !m.compatibleWithHolders(e, w.mode) || m.conflictsElsewhere(w.txn, k, w.mode) {
-			return grants
-		}
-		m.grant(e, w.txn, k, w.mode)
-		delete(m.waitingOn, w.txn)
-		grants = append(grants, Grant{Txn: w.txn, K: k, Mode: w.mode})
+		tl.waiting = nil
+		grants = append(grants, Grant{Txn: w.txn, K: e.key, Mode: w.mode})
 		e.queue = e.queue[1:]
 	}
 	return grants
 }
 
-func (m *Manager) maybeFree(k Key, e *entry) {
-	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(m.table, k)
-		if k.IsRange {
-			for i, rk := range m.rangeKeys {
-				if rk == k {
-					m.rangeKeys = append(m.rangeKeys[:i], m.rangeKeys[i+1:]...)
-					break
-				}
-			}
-		}
-		// holders is already empty and the queue drained, so the entry —
-		// map and queue capacity included — is ready for the next acquire.
-		m.freeEntries = append(m.freeEntries, e)
+// maybeFree takes e out of the table once nobody holds or awaits it.
+func (m *Manager) maybeFree(e *entry) {
+	if len(e.holders) > 0 || len(e.queue) > 0 {
+		return
 	}
+	delete(m.table, e.key)
+	if e.key.IsRange {
+		m.ranges = slices.DeleteFunc(m.ranges, func(re *entry) bool { return re == e })
+	}
+	// holders is already empty and the queue drained, so the entry — both
+	// slices' capacity included — is ready for the next acquire.
+	m.freeEntries = append(m.freeEntries, e)
 }
 
 // WaitsFor returns the transactions that txn is directly waiting on: holders
 // of the contested lock with an incompatible mode, plus incompatible requests
 // queued ahead of it.
 func (m *Manager) WaitsFor(txn msg.TxnID) []msg.TxnID {
-	k, ok := m.waitingOn[txn]
-	if !ok {
-		return nil
+	return m.appendWaitsFor(nil, txn)
+}
+
+// appendWaitsFor appends WaitsFor(txn) to out.
+func (m *Manager) appendWaitsFor(out []msg.TxnID, txn msg.TxnID) []msg.TxnID {
+	tl := m.txns[txn]
+	if tl == nil || tl.waiting == nil {
+		return out
 	}
-	e := m.table[k]
-	var pos int = -1
-	var mode Mode
-	for i, w := range e.queue {
-		if w.txn == txn {
-			pos, mode = i, w.mode
-			break
-		}
-	}
+	e := tl.waiting
+	pos := slices.IndexFunc(e.queue, func(w waiter) bool { return w.txn == txn })
 	if pos < 0 {
-		return nil
+		return out
 	}
-	var out []msg.TxnID
-	for h, hm := range e.holders {
-		if h == txn {
-			continue // upgrade: we hold S ourselves
-		}
-		if !compatible(mode, hm) || mode == Exclusive {
-			out = append(out, h)
+	mode := e.queue[pos].mode
+	from := len(out)
+	blockers := func(o *entry) {
+		for _, h := range o.holders {
+			// An upgrade holds S on the contested entry itself.
+			if h.txn != txn && !compatible(mode, h.mode) {
+				out = append(out, h.txn)
+			}
 		}
 	}
+	blockers(e)
 	// Cross-entry edges: holders of overlapping range keys (and, for a range
 	// request, overlapping point keys) block this request just like holders
 	// of the contested entry do.
-	if len(m.rangeKeys) > 0 {
-		for _, rk := range m.rangeKeys {
-			if rk == k || !overlaps(k, rk) {
-				continue
-			}
-			for h, hm := range m.table[rk].holders {
-				if h != txn && !compatible(mode, hm) {
-					out = append(out, h)
-				}
+	if len(m.ranges) > 0 {
+		k := e.key
+		for _, re := range m.ranges {
+			if re != e && overlaps(k, re.key) {
+				blockers(re)
 			}
 		}
 		if k.IsRange {
 			for pk, pe := range m.table {
-				if pk.IsRange || pk == k || !overlaps(k, pk) {
-					continue
-				}
-				for h, hm := range pe.holders {
-					if h != txn && !compatible(mode, hm) {
-						out = append(out, h)
-					}
+				if !pk.IsRange && overlaps(k, pk) {
+					blockers(pe)
 				}
 			}
 		}
 	}
-	// Deterministic edge order (holders are maps).
-	slices.Sort(out)
-	out = slices.Compact(out)
-	for i := 0; i < pos; i++ {
-		w := e.queue[i]
-		if w.txn != txn && (!compatible(mode, w.mode) || mode == Exclusive) {
+	// Deterministic edge order, whatever order holders arrived in.
+	slices.Sort(out[from:])
+	out = out[:from+len(slices.Compact(out[from:]))]
+	for _, w := range e.queue[:pos] {
+		if w.txn != txn && !compatible(mode, w.mode) {
 			out = append(out, w.txn)
 		}
 	}
@@ -518,36 +545,32 @@ func (m *Manager) WaitsFor(txn msg.TxnID) []msg.TxnID {
 // It is invoked each time a transaction blocks, per §4.3 ("cycle detection to
 // handle local deadlocks").
 func (m *Manager) FindCycle(start msg.TxnID) []msg.TxnID {
-	// Iterative DFS with path tracking. The graph is tiny (bounded by
-	// concurrently active transactions at one partition).
-	onPath := map[msg.TxnID]bool{}
-	var path []msg.TxnID
-	var dfs func(t msg.TxnID) []msg.TxnID
-	visited := map[msg.TxnID]bool{}
-	dfs = func(t msg.TxnID) []msg.TxnID {
-		if onPath[t] {
-			// Extract the cycle suffix.
-			for i, p := range path {
-				if p == t {
-					return append([]msg.TxnID(nil), path[i:]...)
-				}
-			}
-			return append([]msg.TxnID(nil), path...)
-		}
-		if visited[t] {
-			return nil
-		}
-		visited[t] = true
-		onPath[t] = true
-		path = append(path, t)
-		for _, next := range m.WaitsFor(t) {
-			if cyc := dfs(next); cyc != nil {
-				return cyc
-			}
-		}
-		path = path[:len(path)-1]
-		onPath[t] = false
+	// Depth-first search with path tracking. The graph is tiny (bounded by
+	// concurrently active transactions at one partition), so the visited and
+	// on-path sets are slices, kept between calls.
+	m.path, m.visited, m.edges = m.path[:0], m.visited[:0], m.edges[:0]
+	return m.dfs(start)
+}
+
+func (m *Manager) dfs(t msg.TxnID) []msg.TxnID {
+	if i := slices.Index(m.path, t); i >= 0 {
+		return slices.Clone(m.path[i:]) // the cycle is the path's suffix
+	}
+	if slices.Contains(m.visited, t) {
 		return nil
 	}
-	return dfs(start)
+	m.visited = append(m.visited, t)
+	m.path = append(m.path, t)
+	// t's edges sit on a stack shared by the whole search; deeper levels push
+	// above them and pop before returning.
+	lo := len(m.edges)
+	m.edges = m.appendWaitsFor(m.edges, t)
+	for i, hi := lo, len(m.edges); i < hi; i++ {
+		if cyc := m.dfs(m.edges[i]); cyc != nil {
+			return cyc
+		}
+	}
+	m.edges = m.edges[:lo]
+	m.path = m.path[:len(m.path)-1]
+	return nil
 }

@@ -178,6 +178,25 @@ func (h *PartitionHistory) Drop(txn msg.TxnID) {
 	delete(h.pinned, txn)
 }
 
+// Mark returns the length of txn's open record, for Truncate. The partition
+// takes it where a lock-acquiring fragment starts.
+func (h *PartitionHistory) Mark(txn msg.TxnID) int {
+	if r := h.open[txn]; r != nil {
+		return len(r.Rows)
+	}
+	return 0
+}
+
+// Truncate cuts txn's open record back to mark: the fragment that recorded
+// the rest was unwound to wait for a lock and will record again when it is
+// re-run. Rows of the transaction's earlier fragments stay.
+func (h *PartitionHistory) Truncate(txn msg.TxnID, mark int) {
+	if r := h.open[txn]; r != nil {
+		clear(r.Rows[mark:])
+		r.Rows = r.Rows[:mark]
+	}
+}
+
 // Committed returns the sealed records in serial order.
 func (h *PartitionHistory) Committed() []*TxnRecord {
 	out := append([]*TxnRecord(nil), h.committed...)

@@ -82,13 +82,12 @@ type Partition struct {
 	undos map[msg.TxnID]*undo.Buffer
 	// undoFree recycles undo buffers: Forget returns a transaction's buffer
 	// (cleared, capacity kept) and Execute hands it to the next transaction,
-	// so steady-state undo recording allocates nothing. Safe because Forget
-	// is only reached after any fiber running the transaction has unwound.
+	// so steady-state undo recording allocates nothing. Safe because no
+	// fragment body is ever on the stack when an engine calls Forget.
 	undoFree []*undo.Buffer
-	// view is the reusable fragment execution view for synchronous
-	// executions (nil Locker). Lock-acquiring executions run on fibers that
-	// can suspend mid-fragment — several may be in flight — so they get
-	// fresh views instead.
+	// view is the one fragment execution view: every body runs to its end —
+	// return, abort, or a locker's unwinding panic — before the next starts,
+	// under all five engines.
 	view storage.TxnView
 	// works accumulates executed fragment inputs per transaction for
 	// replica forwarding.
@@ -514,8 +513,11 @@ func (p *Partition) spendCtx(ctx *sim.Context, d sim.Time) {
 
 // --- core.Env implementation ---
 
-// Execute runs a fragment body, charging virtual CPU per the cost model.
-func (p *Partition) Execute(f *msg.Fragment, withUndo bool, locker storage.Locker) core.ExecOutcome {
+// Execute runs a fragment body, charging virtual CPU per the cost model. A
+// body the locking engine's locker unwinds with core.Suspend is taken back to
+// the savepoint at its start — undo buffer and oracle record both — and costs
+// nothing: the run that completes pays for the fragment.
+func (p *Partition) Execute(f *msg.Fragment, withUndo bool, locker storage.Locker) (outcome core.ExecOutcome) {
 	if f.InjectAbort {
 		p.spend(p.cfg.Costs.AbortedFragment)
 		p.Rollback(f.Txn)
@@ -535,10 +537,28 @@ func (p *Partition) Execute(f *msg.Fragment, withUndo bool, locker storage.Locke
 		}
 	}
 	view := &p.view
-	if locker != nil {
-		view = storage.NewTxnView(p.cfg.Store, buf, locker)
-	} else {
-		view.Reset(p.cfg.Store, buf, nil)
+	view.Reset(p.cfg.Store, buf, locker)
+	if locker != nil && buf != nil {
+		// A locker may unwind the body to wait (core.Suspend) only where an
+		// undo buffer can take the fragment's writes back.
+		undoMark, histMark := buf.Len(), 0
+		if p.cfg.History != nil {
+			histMark = p.cfg.History.Mark(f.Txn)
+		}
+		defer func() {
+			r := recover()
+			if r == nil {
+				return
+			}
+			if _, ok := r.(core.Suspend); !ok {
+				panic(r)
+			}
+			buf.RollbackTo(undoMark)
+			if p.cfg.History != nil {
+				p.cfg.History.Truncate(f.Txn, histMark)
+			}
+			outcome = core.ExecOutcome{Suspended: true}
+		}()
 	}
 	if p.cfg.History != nil {
 		// Installed after Reset (which wipes Obs). MVCC snapshot readers

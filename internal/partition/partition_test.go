@@ -6,6 +6,7 @@ import (
 	"specdb/internal/core"
 	"specdb/internal/costs"
 	"specdb/internal/msg"
+	"specdb/internal/oracle"
 	"specdb/internal/sim"
 	"specdb/internal/simnet"
 	"specdb/internal/storage"
@@ -266,5 +267,71 @@ func TestSwapEngineRequiresQuiescence(t *testing.T) {
 	f.s.Drain()
 	if got := f.part.EngineTotals().Executed; got != 2 {
 		t.Fatalf("executed after swap = %d, want 2", got)
+	}
+}
+
+// twoKeyProc writes "scratch" and then increments the key named by the work
+// payload, so a fragment that has to wait for that key has a write to undo.
+type twoKeyProc struct{ incProc }
+
+func (twoKeyProc) Name() string { return "two" }
+func (p twoKeyProc) Run(view *storage.TxnView, w any) (any, error) {
+	view.Put("t", "scratch", int64(1))
+	return p.incProc.Run(view, w)
+}
+
+// A fragment the locking engine unwinds to wait for a lock is taken back to
+// its start and leaves no trace: no virtual CPU, no work logged for the
+// backups, no oracle rows, its write undone. The re-run after the grant is the
+// fragment's one execution on every ledger.
+func TestSuspendedFragmentLeavesNoTrace(t *testing.T) {
+	f := newFixture(t, true)
+	f.part.cfg.Registry.Register(twoKeyProc{})
+	f.part.cfg.History = oracle.NewPartitionHistory()
+	if err := f.part.SwapEngine(func(env core.Env) core.Engine { return core.NewLocking(env, core.LockConfig{}) }); err != nil {
+		t.Fatal(err)
+	}
+	f.s.SendAt(0, f.partID, f.mpFragment(1)) // takes x and holds it
+	f.s.Drain()
+	busy := f.s.BusyTime(f.partID)
+
+	sp := f.spFragment(2)
+	sp.Proc = "two"
+	f.s.SendAt(f.s.Now(), f.partID, sp) // writes scratch, then waits for x
+	f.s.Drain()
+	if got := f.s.BusyTime(f.partID); got != busy {
+		t.Fatalf("the unwound fragment charged %v", got-busy)
+	}
+	if _, ok := f.part.Store().Table("t").Get("scratch"); ok {
+		t.Fatal("the unwound fragment's write is still in the table")
+	}
+	if n := f.part.cfg.History.Mark(2); n != 0 {
+		t.Fatalf("the unwound fragment left %d oracle rows", n)
+	}
+	if len(f.part.works) != 0 { // txn 1's went out with its vote's forward
+		t.Fatalf("the unwound fragment logged work: %+v", f.part.works)
+	}
+
+	f.s.SendAt(f.s.Now(), f.partID, &msg.Decision{Txn: 1, Commit: true})
+	f.s.Drain()
+	// Three row operations, two of them writes, three lock requests, undo on.
+	want := busy + f.cm.Decision + f.cm.Fragment("two", 3, 2, 3, true)
+	if got := f.s.BusyTime(f.partID); got != want {
+		t.Fatalf("busy = %v, want %v", got, want)
+	}
+	var fw *msg.ReplicaForward
+	for _, m := range f.backup.msgs {
+		if v, ok := m.(*msg.ReplicaForward); ok && v.Txn == 2 {
+			if fw != nil {
+				t.Fatal("txn 2 forwarded twice")
+			}
+			fw = v
+		}
+	}
+	if fw == nil || len(fw.Works) != 1 {
+		t.Fatalf("txn 2 forward = %+v, want one work", fw)
+	}
+	if v, _ := f.part.Store().Table("t").Get("x"); v != int64(2) {
+		t.Fatalf("x = %v, want 2", v)
 	}
 }

@@ -327,14 +327,19 @@ func DiffStores(a, b *Store) error {
 	return nil
 }
 
-// Locker acquires row locks on behalf of an executing transaction. It is
-// implemented by the locking scheme's per-partition engine; the other schemes
-// run with a nil Locker ("assume everything conflicts" — §4.2).
+// Locker sees every row access of an executing transaction before it happens.
+// The locking engine acquires row locks through it and the optimistic engines
+// (MVCC, OCC) track and check accesses; blocking and speculation run with a
+// nil Locker ("assume everything conflicts" — §4.2).
+//
+// Lock either returns, and the access proceeds, or unwinds the caller with the
+// engine's panic sentinel (a lock that has to be waited for, an access that
+// lost the engine's conflict rule). The engine undoes what the body wrote and
+// may run it again from its start, so a body must be re-runnable and have no
+// effect outside its view — the same contract speculation's re-execution after
+// a cascading abort already relies on.
 type Locker interface {
-	// Lock acquires the row lock in shared or exclusive mode. It may
-	// suspend the calling fiber until granted; if the transaction is
-	// chosen as a deadlock victim while waiting, Lock panics with an
-	// abort sentinel that the fragment runner recovers.
+	// Lock announces an access to the row in shared or exclusive mode.
 	Lock(table, key string, exclusive bool)
 }
 
@@ -347,8 +352,8 @@ type Locker interface {
 type RangeLocker interface {
 	Locker
 	// LockRange acquires shared coverage of lo <= key < hi (empty hi means
-	// unbounded). Like Lock, it may suspend the calling fiber or panic
-	// with the engine's kill sentinel.
+	// unbounded). Like Lock, it returns or unwinds the caller with the
+	// engine's sentinel.
 	LockRange(table, lo, hi string)
 }
 
@@ -389,11 +394,11 @@ func NewTxnView(store *Store, undoBuf *undo.Buffer, locker Locker) *TxnView {
 	return &TxnView{store: store, undo: undoBuf, locker: locker}
 }
 
-// Reset re-initializes a view in place, zeroing its counters. Executors that
-// run fragments to completion on one goroutine (everything except the
-// locking engine's suspended fibers) reuse a single view across fragments
-// instead of allocating one per execution; procedures must not retain the
-// view beyond Run, which the txn.Procedure contract already demands.
+// Reset re-initializes a view in place, zeroing its counters. Fragment bodies
+// never overlap — one returns, or is unwound by its Locker, before the next
+// starts — so an executor reuses a single view across fragments instead of
+// allocating one per execution; procedures must not retain the view beyond
+// Run, which the txn.Procedure contract already demands.
 func (v *TxnView) Reset(store *Store, undoBuf *undo.Buffer, locker Locker) {
 	*v = TxnView{store: store, undo: undoBuf, locker: locker}
 }

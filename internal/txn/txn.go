@@ -65,7 +65,9 @@ type Procedure interface {
 	// previous rounds. Only multi-round procedures are ever asked.
 	Continue(args any, round int, prior []msg.FragmentResult, cat *Catalog) map[msg.PartitionID]any
 	// Run executes one fragment against partition-local data. A non-nil
-	// error aborts the transaction.
+	// error aborts the transaction. An engine may unwind Run from inside a
+	// view call and run it again from its start (see storage.Locker), so
+	// Run must have no effect outside the view and must not mutate work.
 	Run(view *storage.TxnView, work any) (any, error)
 	// Output combines the final round's fragment results into the
 	// client-visible transaction output.

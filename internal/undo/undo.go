@@ -44,24 +44,29 @@ func (b *Buffer) Record(e Entry) {
 func (b *Buffer) Len() int { return len(b.entries) }
 
 // Rollback undoes all entries in reverse order and clears the buffer.
-func (b *Buffer) Rollback() {
-	for i := len(b.entries) - 1; i >= 0; i-- {
+func (b *Buffer) Rollback() { b.RollbackTo(0) }
+
+// RollbackTo undoes every entry recorded after the first n, newest first, and
+// drops them; the first n stay recorded. With n taken from Len at the start of
+// a fragment it is a savepoint: the locking engine unwinds a fragment that has
+// to wait for a lock this way, keeping the writes of the transaction's earlier
+// rounds.
+func (b *Buffer) RollbackTo(n int) {
+	for i := len(b.entries) - 1; i >= n; i-- {
 		e := &b.entries[i]
 		e.Target.Restore(e.Key, e.Prev, e.Existed)
 	}
-	b.reset()
+	b.truncate(n)
 }
 
 // Discard drops all entries without applying them (commit path).
-func (b *Buffer) Discard() {
-	b.reset()
-}
+func (b *Buffer) Discard() { b.truncate(0) }
 
-// reset empties the log, zeroing the slots so retained capacity does not pin
-// old row values against the garbage collector.
-func (b *Buffer) reset() {
-	clear(b.entries)
-	b.entries = b.entries[:0]
+// truncate keeps the first n entries, zeroing the dropped slots so retained
+// capacity does not pin old row values against the garbage collector.
+func (b *Buffer) truncate(n int) {
+	clear(b.entries[n:])
+	b.entries = b.entries[:n]
 }
 
 // Func adapts a closure to Restorer, for callers with one-off restoration

@@ -1,6 +1,9 @@
 package undo
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 type probe struct {
 	log *[]int
@@ -83,5 +86,41 @@ func TestResetReleasesReferences(t *testing.T) {
 		if e != (Entry{}) {
 			t.Fatalf("slot %d not zeroed: %+v", i, e)
 		}
+	}
+}
+
+// TestRollbackToSavepoint pins the savepoint contract the locking engine's
+// unwind-and-re-run relies on: entries past the mark are restored newest
+// first and their slots zeroed, the first n stay recorded for a later full
+// rollback, and a mark at the current length is a no-op.
+func TestRollbackToSavepoint(t *testing.T) {
+	var log []int
+	b := New()
+	for i := 1; i <= 5; i++ {
+		b.Record(Entry{Target: probe{&log, i}, Key: "k", Prev: i})
+	}
+	b.RollbackTo(5)
+	if len(log) != 0 || b.Len() != 5 {
+		t.Fatalf("RollbackTo(Len) restored %v, Len = %d", log, b.Len())
+	}
+	b.RollbackTo(2)
+	if want := []int{5, 4, 3}; !slices.Equal(log, want) {
+		t.Fatalf("restored %v, want %v", log, want)
+	}
+	if b.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", b.Len())
+	}
+	for i, e := range b.entries[2:cap(b.entries)] {
+		if e != (Entry{}) {
+			t.Fatalf("dropped slot %d not zeroed: %+v", i+2, e)
+		}
+	}
+	// The kept prefix is still live: recording continues after it and a full
+	// rollback undoes both.
+	b.Record(Entry{Target: probe{&log, 6}})
+	log = log[:0]
+	b.Rollback()
+	if want := []int{6, 2, 1}; !slices.Equal(log, want) {
+		t.Fatalf("full rollback restored %v, want %v", log, want)
 	}
 }

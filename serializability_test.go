@@ -5,6 +5,7 @@ import (
 
 	"specdb/internal/oracle"
 	"specdb/internal/storage"
+	"specdb/internal/tpcc"
 	"specdb/internal/workload"
 )
 
@@ -124,6 +125,37 @@ func TestOracleTPCCAllSchemes(t *testing.T) {
 			opts, _, loader := tpccOpts(scheme, 4, 600)
 			verifyOracle(t, loader.Load, opts...)
 		})
+	}
+}
+
+// TestOracleTPCCHotWarehousesLocking crowds forty clients onto one warehouse
+// per partition, so that Deliveries — which walk the new-order index with
+// Ascend, locking each row only as they reach it — keep meeting each other's
+// and New-Orders' undecided rows. A fragment that waited in place on such a
+// row used to resume inside its index walk with the row it had fetched before
+// the wait: a second Delivery delivered the same order again (the oracle saw
+// its stale order-line reads on both seeds) or dereferenced an order whose
+// insert had been rolled back. Re-running the fragment from its start after
+// the grant reads the table as the decision left it.
+func TestOracleTPCCHotWarehousesLocking(t *testing.T) {
+	for _, seed := range []int64{1, 5} {
+		opts, layout, loader := tpccOpts(Locking, 2, 1500)
+		opts = append(opts, WithSeed(seed), WithClients(40), withHistory())
+		db := mustOpen(t, opts...)
+		res := db.Run()
+		initial := initialStores(len(db.histories()), loader.Load)
+		for p, h := range db.histories() {
+			if err := h.Verify(initial[p], db.PartitionStore(PartitionID(p))); err != nil {
+				t.Errorf("seed %d partition %d: %v", seed, p, err)
+			}
+		}
+		stores := []*storage.Store{db.PartitionStore(0), db.PartitionStore(1)}
+		if err := tpcc.CheckConsistency(layout, stores); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		if res.LockStats[0].Waits+res.LockStats[1].Waits < 1000 {
+			t.Errorf("seed %d: lock waits %+v; the warehouses are not hot", seed, res.LockStats)
+		}
 	}
 }
 
