@@ -7,6 +7,9 @@
 // logical order. Values are generic. The tree supports point operations and
 // ascending/descending range scans; scans visit a consistent snapshot of the
 // structure as long as the callback does not modify the tree.
+//
+// A Tree is single-goroutine, like every table of a partition: even Get
+// writes, because it moves the tree's finger (see Tree).
 package btree
 
 // degree is the maximum number of children of an internal node. Leaves hold
@@ -21,10 +24,20 @@ const (
 
 // Tree is a B+tree mapping string keys to values of type V. The zero value
 // is not usable; call New.
+//
+// The tree keeps a finger on the last row a Get or Swap found: its leaf and
+// slot, which name its key. A Get or Swap of the same key reads or replaces
+// that slot without descending, so a read-modify-write of one row costs one
+// descent. Only two operations move slots — an insert that creates a key and
+// a successful Delete, inside which every split, borrow and merge happens —
+// and both drop the finger. A replace leaves every slot where it was.
 type Tree[V any] struct {
 	root   *node[V]
 	height int // number of levels; 1 = root is a leaf
 	size   int
+	// The finger: fleaf.keys[fslot] is the last key found. nil means unset.
+	fleaf *node[V]
+	fslot int
 }
 
 // node is either a leaf (children == nil) or an internal node. In an internal
@@ -78,72 +91,111 @@ func (n *node[V]) childIndex(k string) int {
 
 // Get returns the value stored under k.
 func (t *Tree[V]) Get(k string) (V, bool) {
-	n := t.root
-	for !n.leaf() {
-		n = n.children[n.childIndex(k)]
+	if t.fleaf != nil && t.fleaf.keys[t.fslot] == k {
+		return t.fleaf.vals[t.fslot], true
 	}
-	i := n.search(k)
-	if i < len(n.keys) && n.keys[i] == k {
+	n, i, ok := t.find(k)
+	if ok {
 		return n.vals[i], true
 	}
 	var zero V
 	return zero, false
 }
 
-// Put inserts or replaces the value under k. It reports whether a new entry
-// was created.
-func (t *Tree[V]) Put(k string, v V) bool {
-	created, split, sepKey, right := t.insert(t.root, k, v)
-	if split {
-		newRoot := &node[V]{
+// find descends to the leaf that holds or would hold k, returning it and the
+// index of the first key >= k there. When k is present it reports ok and
+// moves the finger onto it.
+func (t *Tree[V]) find(k string) (*node[V], int, bool) {
+	n := t.root
+	for !n.leaf() {
+		n = n.children[n.childIndex(k)]
+	}
+	i := n.search(k)
+	if i < len(n.keys) && n.keys[i] == k {
+		t.fleaf, t.fslot = n, i
+		return n, i, true
+	}
+	return n, i, false
+}
+
+// Swap stores v under k in one descent, returning the value it replaced. An
+// absent key is inserted (existed is false).
+func (t *Tree[V]) Swap(k string, v V) (prev V, existed bool) {
+	if t.fleaf != nil && t.fleaf.keys[t.fslot] == k {
+		prev = t.fleaf.vals[t.fslot]
+		t.fleaf.vals[t.fslot] = v
+		return prev, true
+	}
+	if n, i, ok := t.find(k); ok {
+		prev = n.vals[i]
+		n.vals[i] = v
+		return prev, true
+	}
+	t.fleaf = nil
+	if split, sepKey, right := t.insert(t.root, k, v); split {
+		t.root = &node[V]{
 			keys:     []string{sepKey},
 			children: []*node[V]{t.root, right},
 		}
-		t.root = newRoot
 		t.height++
 	}
-	if created {
-		t.size++
-	}
-	return created
+	t.size++
+	return prev, false
 }
 
-// insert adds k/v under n. If n overflows it splits, returning the separator
-// key and the new right sibling.
-func (t *Tree[V]) insert(n *node[V], k string, v V) (created, split bool, sepKey string, right *node[V]) {
+// Put inserts or replaces the value under k. It reports whether a new entry
+// was created.
+func (t *Tree[V]) Put(k string, v V) bool {
+	_, existed := t.Swap(k, v)
+	return !existed
+}
+
+// insert adds the absent key k under n. If n overflows it splits, returning
+// the separator key and the new right sibling.
+func (t *Tree[V]) insert(n *node[V], k string, v V) (split bool, sepKey string, right *node[V]) {
 	if n.leaf() {
 		i := n.search(k)
-		if i < len(n.keys) && n.keys[i] == k {
-			n.vals[i] = v
-			return false, false, "", nil
-		}
-		n.keys = append(n.keys, "")
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = k
-		var zero V
-		n.vals = append(n.vals, zero)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = v
-		created = true
+		n.keys = insertAt(n.keys, i, k)
+		n.vals = insertAt(n.vals, i, v)
 	} else {
 		ci := n.childIndex(k)
-		var childSplit bool
-		created, childSplit, sepKey, right = t.insert(n.children[ci], k, v)
-		if !childSplit {
-			return created, false, "", nil
+		split, sepKey, right = t.insert(n.children[ci], k, v)
+		if !split {
+			return false, "", nil
 		}
-		n.keys = append(n.keys, "")
-		copy(n.keys[ci+1:], n.keys[ci:])
-		n.keys[ci] = sepKey
-		n.children = append(n.children, nil)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = right
+		n.keys = insertAt(n.keys, ci, sepKey)
+		n.children = insertAt(n.children, ci+1, right)
 	}
 	if len(n.keys) <= maxKeys {
-		return created, false, "", nil
+		return false, "", nil
 	}
 	sepKey, right = t.split(n)
-	return created, true, sepKey, right
+	return true, sepKey, right
+}
+
+// insertAt inserts x at s[i], shifting the tail up.
+func insertAt[T any](s []T, i int, x T) []T {
+	var zero T
+	s = append(s, zero)
+	copy(s[i+1:], s[i:])
+	s[i] = x
+	return s
+}
+
+// removeAt deletes s[i], copying the tail down. The vacated last slot is
+// zeroed so the backing array pins no dead key, row or node.
+func removeAt[T any](s []T, i int) []T {
+	copy(s[i:], s[i+1:])
+	var zero T
+	s[len(s)-1] = zero
+	return s[:len(s)-1]
+}
+
+// cut keeps s[:n], zeroing the rest of the backing array (which stays
+// allocated behind the capped slice) so it pins nothing that moved away.
+func cut[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n:n]
 }
 
 // split divides an overfull node, returning the separator to push up and the
@@ -156,16 +208,16 @@ func (t *Tree[V]) split(n *node[V]) (string, *node[V]) {
 		// (B+tree: all keys stay in leaves).
 		r.keys = append(r.keys, n.keys[mid:]...)
 		r.vals = append(r.vals, n.vals[mid:]...)
-		n.keys = n.keys[:mid:mid]
-		n.vals = n.vals[:mid:mid]
+		n.keys = cut(n.keys, mid)
+		n.vals = cut(n.vals, mid)
 		return r.keys[0], r
 	}
 	// Internal: separator moves up, not into the right node.
 	sep := n.keys[mid]
 	r.keys = append(r.keys, n.keys[mid+1:]...)
 	r.children = append(r.children, n.children[mid+1:]...)
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
+	n.keys = cut(n.keys, mid)
+	n.children = cut(n.children, mid+1)
 	return sep, r
 }
 
@@ -173,6 +225,7 @@ func (t *Tree[V]) split(n *node[V]) (string, *node[V]) {
 func (t *Tree[V]) Delete(k string) (V, bool) {
 	v, removed := t.remove(t.root, k)
 	if removed {
+		t.fleaf = nil
 		t.size--
 		if !t.root.leaf() && len(t.root.children) == 1 {
 			t.root = t.root.children[0]
@@ -190,8 +243,8 @@ func (t *Tree[V]) remove(n *node[V], k string) (V, bool) {
 			return zero, false
 		}
 		v := n.vals[i]
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.keys = removeAt(n.keys, i)
+		n.vals = removeAt(n.vals, i)
 		return v, true
 	}
 	ci := n.childIndex(k)
@@ -219,20 +272,20 @@ func (t *Tree[V]) rebalance(p *node[V], ci int) {
 		if len(left.keys) > minKeys {
 			if child.leaf() {
 				last := len(left.keys) - 1
-				child.keys = append([]string{left.keys[last]}, child.keys...)
-				child.vals = append([]V{left.vals[last]}, child.vals...)
-				left.keys = left.keys[:last]
-				left.vals = left.vals[:last]
+				child.keys = insertAt(child.keys, 0, left.keys[last])
+				child.vals = insertAt(child.vals, 0, left.vals[last])
+				left.keys = removeAt(left.keys, last)
+				left.vals = removeAt(left.vals, last)
 				p.keys[ci-1] = child.keys[0]
 			} else {
 				// Rotate through the parent separator.
 				lastK := len(left.keys) - 1
-				child.keys = append([]string{p.keys[ci-1]}, child.keys...)
+				child.keys = insertAt(child.keys, 0, p.keys[ci-1])
 				p.keys[ci-1] = left.keys[lastK]
-				left.keys = left.keys[:lastK]
+				left.keys = removeAt(left.keys, lastK)
 				lastC := len(left.children) - 1
-				child.children = append([]*node[V]{left.children[lastC]}, child.children...)
-				left.children = left.children[:lastC]
+				child.children = insertAt(child.children, 0, left.children[lastC])
+				left.children = removeAt(left.children, lastC)
 			}
 			return
 		}
@@ -244,15 +297,15 @@ func (t *Tree[V]) rebalance(p *node[V], ci int) {
 			if child.leaf() {
 				child.keys = append(child.keys, right.keys[0])
 				child.vals = append(child.vals, right.vals[0])
-				right.keys = right.keys[1:]
-				right.vals = right.vals[1:]
+				right.keys = removeAt(right.keys, 0)
+				right.vals = removeAt(right.vals, 0)
 				p.keys[ci] = right.keys[0]
 			} else {
 				child.keys = append(child.keys, p.keys[ci])
 				p.keys[ci] = right.keys[0]
-				right.keys = right.keys[1:]
+				right.keys = removeAt(right.keys, 0)
 				child.children = append(child.children, right.children[0])
-				right.children = right.children[1:]
+				right.children = removeAt(right.children, 0)
 			}
 			return
 		}
@@ -276,8 +329,8 @@ func (t *Tree[V]) merge(p *node[V], i int) {
 		left.keys = append(left.keys, right.keys...)
 		left.children = append(left.children, right.children...)
 	}
-	p.keys = append(p.keys[:i], p.keys[i+1:]...)
-	p.children = append(p.children[:i+1], p.children[i+2:]...)
+	p.keys = removeAt(p.keys, i)
+	p.children = removeAt(p.children, i+1)
 }
 
 // Ascend visits entries with lo <= key < hi in ascending order, stopping if
@@ -383,6 +436,20 @@ func (t *Tree[V]) Check() string {
 	}
 	if count != t.size {
 		return "size mismatch"
+	}
+	if t.fleaf != nil {
+		// The finger must name a slot of a leaf still in the tree.
+		if t.fslot >= len(t.fleaf.keys) {
+			return "finger slot out of range"
+		}
+		k := t.fleaf.keys[t.fslot]
+		n := t.root
+		for !n.leaf() {
+			n = n.children[n.childIndex(k)]
+		}
+		if n != t.fleaf || n.search(k) != t.fslot {
+			return "finger points outside the tree"
+		}
 	}
 	return ""
 }

@@ -5,16 +5,26 @@ import (
 	"testing"
 )
 
-// FuzzBTree drives a Tree through a byte-coded op stream — Put, Delete,
-// Ascend, Descend over a small key universe — against a map-plus-sort
-// reference model, asserting the structural invariants (Check) after every
-// mutation and exact agreement on every lookup and traversal. The small
+// FuzzBTree drives a Tree through a byte-coded op stream — Put (Swap on even
+// op indices), Delete, Ascend, Descend over a small key universe — against a
+// map-plus-sort reference model, asserting the structural invariants (Check)
+// after every mutation and exact agreement on every lookup and traversal.
+// Every op is followed by a Get of its key and of the next key, which reads
+// through the finger the op left behind, or sets a new one. The small
 // universe (64 keys) forces heavy node splitting/merging churn at degree 32:
 // the same key is inserted and deleted many times, which is where rebalance
 // bugs live.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xC3, 0x04, 0x45, 0x86, 0xC7})
 	f.Add([]byte{0xFF, 0xFE, 0xFD, 0x00, 0x01, 0x02, 0x80, 0x81, 0x82})
+	// Found a finger kept across a Delete: the delete empties the finger's
+	// leaf, and the next Get indexes past its end.
+	f.Add([]byte{0x01, 0x41, 0x30, 0x30})
+	// Found a finger kept across an insert: the insert splits the finger's
+	// leaf, and the next Get indexes past the half the leaf kept.
+	f.Add([]byte{0x30, 0x31, 0x37, 0x38, 0x20, 0x22, 0x23, 0x26, 0x27, 0x25, 0x29,
+		0x2A, 0x2C, 0x2E, 0x0C, 0x13, 0x1A, 0x21, 0x28, 0x2F, 0x36, 0x3D, 0x01, 0x08,
+		0x0F, 0x16, 0x1D, 0x24, 0x2B, 0x32, 0x39, 0x3C, 0x30})
 	big := make([]byte, 512)
 	for i := range big {
 		big[i] = byte(i*7 + 3)
@@ -40,10 +50,15 @@ func FuzzBTree(f *testing.F) {
 		for i, op := range ops {
 			k := key(int(op & 0x3F)) // 64-key universe
 			switch op >> 6 {
-			case 0: // Put
-				created := tr.Put(k, i)
-				if _, existed := ref[k]; created == existed {
-					t.Fatalf("op %d: Put(%q) created=%v, ref existed=%v", i, k, created, existed)
+			case 0: // Put, or Swap on even op indices
+				rv, rok := ref[k]
+				if i%2 == 0 {
+					prev, existed := tr.Swap(k, i)
+					if existed != rok || prev != rv {
+						t.Fatalf("op %d: Swap(%q) = %d,%v, ref %d,%v", i, k, prev, existed, rv, rok)
+					}
+				} else if created := tr.Put(k, i); created == rok {
+					t.Fatalf("op %d: Put(%q) created=%v, ref existed=%v", i, k, created, rok)
 				}
 				ref[k] = i
 			case 1: // Delete
@@ -90,6 +105,13 @@ func FuzzBTree(f *testing.F) {
 			}
 			if p := tr.Check(); p != "" {
 				t.Fatalf("op %d (%#x): invariant violated: %s", i, op, p)
+			}
+			for _, gk := range []string{k, key(int(op+1) & 0x3F)} {
+				gv, gok := tr.Get(gk)
+				rv, rok := ref[gk]
+				if gok != rok || gv != rv {
+					t.Fatalf("op %d: Get(%q) = %d,%v, ref %d,%v", i, gk, gv, gok, rv, rok)
+				}
 			}
 			if tr.Len() != len(ref) {
 				t.Fatalf("op %d: Len = %d, ref %d", i, tr.Len(), len(ref))
