@@ -31,6 +31,10 @@ const ProcName = "kv.readwrite"
 // them — a declared read-only transaction (always single-round), which the
 // MVCC engine serves from a snapshot.
 type Args struct {
+	// Keys lists each partition's keys. Each list is a set — the paper's
+	// transaction "reads a set of values then updates them" (§5.1) — and
+	// Run relies on it: it writes each key right after reading it, so a key
+	// listed twice would read its own increment.
 	Keys     map[msg.PartitionID][]string
 	TwoRound bool
 	ReadOnly bool
@@ -205,6 +209,9 @@ func (Proc) Run(view *storage.TxnView, w any) (any, error) {
 		}
 		return vals, nil
 	}
+	// Read with update intent and, in the single-round form, write each key
+	// in turn: the write then lands on the row the read just found. The
+	// keys are a set, so this is the same as reading them all first.
 	vals := make([]int64, len(wk.Keys))
 	for i, k := range wk.Keys {
 		v, ok := view.GetForUpdate(Table, k)
@@ -212,10 +219,7 @@ func (Proc) Run(view *storage.TxnView, w any) (any, error) {
 			return nil, fmt.Errorf("kvstore: missing key %q", k)
 		}
 		vals[i] = v.(int64)
-	}
-	if !wk.ReadOnly {
-		// Single-round form: read the set of values, then update them.
-		for i, k := range wk.Keys {
+		if !wk.ReadOnly {
 			view.Put(Table, k, vals[i]+1)
 		}
 	}

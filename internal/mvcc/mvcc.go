@@ -140,15 +140,27 @@ type rwLocker struct {
 // aborts when the row already has another live writer or appears in a live
 // multi-round transaction's read set. On the first write to a row, the
 // committed head is captured as the before-image.
+//
+// A write to a row this transaction already owns returns right after the
+// ownership check. The walk over the live transactions could find nothing
+// new: it ran when the row was first written, and since then any other
+// transaction reading the row has been killed by the ownership check above
+// before its read set could grow, and any scan covering the row has been
+// killed by LockRange before its range was recorded. So no read set or scan
+// range can newly cover an owned row, and its before-image is already held.
 func (l *rwLocker) Lock(table, key string, exclusive bool) {
 	k := vkey{table, key}
-	if w, ok := l.e.pendingWrites[k]; ok && w.writer != l.t.id {
+	w, owned := l.e.pendingWrites[k]
+	if owned && w.writer != l.t.id {
 		panic(core.ConflictKill{})
 	}
 	if !exclusive {
 		if l.t.readSet != nil {
 			l.t.readSet[k] = struct{}{}
 		}
+		return
+	}
+	if owned {
 		return
 	}
 	for _, u := range l.e.pending {
@@ -168,11 +180,9 @@ func (l *rwLocker) Lock(table, key string, exclusive bool) {
 			}
 		}
 	}
-	if w, ok := l.e.pendingWrites[k]; !ok || w.writer != l.t.id {
-		val, existed := l.e.store.Table(table).Get(key)
-		l.e.pendingWrites[k] = writeRec{writer: l.t.id, prev: version{val, existed}}
-		l.t.writes = append(l.t.writes, k)
-	}
+	val, existed := l.e.store.Table(table).Get(key)
+	l.e.pendingWrites[k] = writeRec{writer: l.t.id, prev: version{val, existed}}
+	l.t.writes = append(l.t.writes, k)
 }
 
 // LockRange orders a read-write transaction's scan against the live writers:

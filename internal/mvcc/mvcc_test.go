@@ -380,3 +380,54 @@ func TestRejectsStorelessEnv(t *testing.T) {
 }
 
 type storelessEnv struct{ core.Env }
+
+// TestOwnedRowRewrite pins the owned-row rule of rwLocker.Lock: a second
+// write to a row the transaction already owns skips the conflict walk and
+// keeps the first before-image. Snapshots opened between the writes still see
+// the original value, other transactions' reads and scans of the row are
+// still killed, and an abort restores the original — not the intermediate
+// value.
+func TestOwnedRowRewrite(t *testing.T) {
+	e, env := newEngine(t)
+	env.set("a", 1)
+
+	e.Fragment(mpFrag(1, 0, false, writeKey("a", 10)))
+	// A snapshot opened between the owner's two writes.
+	e.Fragment(mpROFrag(2, 0, false, readKey("a")))
+	if r := lastResult(t, env); r.Output != 1 {
+		t.Fatalf("snapshot read between writes = %v, want 1", r.Output)
+	}
+	e.Fragment(mpFrag(1, 1, false, writeKey("a", 20)))
+	if env.get("a") != 20 {
+		t.Fatalf("second write not in store: a = %d", env.get("a"))
+	}
+	if w := e.pendingWrites[vkey{"kv", "a"}]; w.prev.val != 1 || len(e.pending[1].writes) != 1 {
+		t.Fatalf("second write changed the before-image or write list: prev %v, writes %v", w.prev.val, e.pending[1].writes)
+	}
+	aborts := e.Stats().TSOrderAborts
+	e.Fragment(spFrag(3, readKey("a")))
+	if r := lastReply(t, env); !r.Retryable {
+		t.Fatalf("read of the owned row after its second write = %+v, want Retryable", r)
+	}
+	e.Fragment(spFrag(4, func(v *storage.TxnView) (any, error) {
+		return v.Scan("kv", "", "", 0, func(string, any) bool { return true }), nil
+	}))
+	if r := lastReply(t, env); !r.Retryable {
+		t.Fatalf("scan over the owned row = %+v, want Retryable", r)
+	}
+	if got := e.Stats().TSOrderAborts - aborts; got != 2 {
+		t.Fatalf("TSOrderAborts grew by %d, want 2", got)
+	}
+	e.Fragment(mpROFrag(2, 1, true, readKey("a")))
+	if r := lastResult(t, env); r.Output != 1 {
+		t.Fatalf("snapshot read after the second write = %v, want 1", r.Output)
+	}
+	e.Decision(&msg.Decision{Txn: 2, Commit: true})
+	e.Decision(&msg.Decision{Txn: 1, Commit: false})
+	if env.get("a") != 1 {
+		t.Fatalf("abort left a = %d, want the original 1", env.get("a"))
+	}
+	if !e.Quiescent() || len(e.pendingWrites) != 0 {
+		t.Fatal("engine not quiescent after abort")
+	}
+}

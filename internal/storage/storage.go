@@ -52,11 +52,7 @@ func (b *BTreeTable) Name() string { return b.name }
 
 func (b *BTreeTable) Get(key string) (any, bool) { return b.t.Get(key) }
 
-func (b *BTreeTable) Put(key string, v any) (any, bool) {
-	prev, existed := b.t.Get(key)
-	b.t.Put(key, v)
-	return prev, existed
-}
+func (b *BTreeTable) Put(key string, v any) (any, bool) { return b.t.Swap(key, v) }
 
 func (b *BTreeTable) Delete(key string) (any, bool) { return b.t.Delete(key) }
 
@@ -381,6 +377,11 @@ type TxnView struct {
 	store  *Store
 	undo   *undo.Buffer
 	locker Locker
+	// lastName/last memoize the most recently resolved table, so a fragment
+	// that touches one table pays Store.Table's map lookup once. Reset wipes
+	// the memo with the store it came from.
+	lastName string
+	last     Table
 	// Obs, when non-nil, observes every access with its value. Reset wipes
 	// it; hosts that install an Observer must re-set it after Reset.
 	Obs Observer
@@ -409,6 +410,14 @@ func (v *TxnView) Store() *Store { return v.store }
 // Undoing reports whether the view records undo information.
 func (v *TxnView) Undoing() bool { return v.undo != nil }
 
+// table resolves a table name through the one-entry memo.
+func (v *TxnView) table(name string) Table {
+	if v.last == nil || v.lastName != name {
+		v.last, v.lastName = v.store.Table(name), name
+	}
+	return v.last
+}
+
 func (v *TxnView) lock(table, key string, exclusive bool) {
 	if v.locker != nil {
 		v.LockAcquires++
@@ -420,7 +429,7 @@ func (v *TxnView) lock(table, key string, exclusive bool) {
 func (v *TxnView) Get(table, key string) (any, bool) {
 	v.lock(table, key, false)
 	v.Reads++
-	val, ok := v.store.Table(table).Get(key)
+	val, ok := v.table(table).Get(key)
 	if v.Obs != nil {
 		v.Obs.ObserveGet(table, key, val, ok)
 	}
@@ -433,7 +442,7 @@ func (v *TxnView) Get(table, key string) (any, bool) {
 func (v *TxnView) GetForUpdate(table, key string) (any, bool) {
 	v.lock(table, key, true)
 	v.Reads++
-	val, ok := v.store.Table(table).Get(key)
+	val, ok := v.table(table).Get(key)
 	if v.Obs != nil {
 		v.Obs.ObserveGet(table, key, val, ok)
 	}
@@ -445,7 +454,7 @@ func (v *TxnView) GetForUpdate(table, key string) (any, bool) {
 func (v *TxnView) Put(table, key string, val any) {
 	v.lock(table, key, true)
 	v.Writes++
-	t := v.store.Table(table)
+	t := v.table(table)
 	prev, existed := t.Put(key, val)
 	if v.undo != nil {
 		v.undo.Record(undo.Entry{Target: t, Key: key, Prev: prev, Existed: existed})
@@ -459,7 +468,7 @@ func (v *TxnView) Put(table, key string, val any) {
 func (v *TxnView) Delete(table, key string) bool {
 	v.lock(table, key, true)
 	v.Writes++
-	t := v.store.Table(table)
+	t := v.table(table)
 	prev, existed := t.Delete(key)
 	if v.undo != nil && existed {
 		v.undo.Record(undo.Entry{Target: t, Key: key, Prev: prev, Existed: true})
@@ -474,7 +483,7 @@ func (v *TxnView) Delete(table, key string) bool {
 // rows. Phantom protection is not provided (row-level locking only), matching
 // the paper's prototype granularity.
 func (v *TxnView) Ascend(table, lo, hi string, fn func(k string, val any) bool) {
-	v.store.Table(table).Ascend(lo, hi, func(k string, val any) bool {
+	v.table(table).Ascend(lo, hi, func(k string, val any) bool {
 		v.lock(table, k, false)
 		v.Reads++
 		if v.Obs != nil {
@@ -486,7 +495,7 @@ func (v *TxnView) Ascend(table, lo, hi string, fn func(k string, val any) bool) 
 
 // Descend scans lo <= key < hi descending, acquiring shared locks.
 func (v *TxnView) Descend(table, lo, hi string, fn func(k string, val any) bool) {
-	v.store.Table(table).Descend(lo, hi, func(k string, val any) bool {
+	v.table(table).Descend(lo, hi, func(k string, val any) bool {
 		v.lock(table, k, false)
 		v.Reads++
 		if v.Obs != nil {
@@ -554,7 +563,7 @@ func (v *TxnView) scan(table, lo, hi string, limit int, reverse bool, fn func(k 
 			locked = true
 		}
 	}
-	t := v.store.Table(table)
+	t := v.table(table)
 	if bt, ok := t.(*BTreeTable); ok {
 		sv := scanVisitor{v: v, table: table, fn: fn, limit: limit, locked: locked}
 		if reverse {

@@ -288,3 +288,45 @@ func TestUndoFuncAdapter(t *testing.T) {
 		t.Fatalf("n = %d after second rollback", n)
 	}
 }
+
+// TestTxnViewResetForgetsTable: a view memoizes the table it last resolved;
+// Reset onto another store must drop that memo, so every access — reads,
+// writes, scans — reaches the new store's table of the same name, and a name
+// the new store lacks panics instead of reaching the old store.
+func TestTxnViewResetForgetsTable(t *testing.T) {
+	a, b := NewStore(), NewStore()
+	a.AddTable(NewBTreeTable("kv"))
+	b.AddTable(NewHashTable("kv"))
+	a.Table("kv").Put("k", 1)
+	b.Table("kv").Put("k", 2)
+
+	var v TxnView
+	v.Reset(a, nil, nil)
+	if got, _ := v.Get("kv", "k"); got != 1 {
+		t.Fatalf("store a: Get = %v, want 1", got)
+	}
+	v.Reset(b, nil, nil)
+	if got, _ := v.Get("kv", "k"); got != 2 {
+		t.Fatalf("store b after Reset: Get = %v, want 2", got)
+	}
+	v.Put("kv", "k", 3)
+	v.Scan("kv", "", "", 0, func(_ string, val any) bool {
+		if val != 3 {
+			t.Fatalf("store b scan saw %v, want 3", val)
+		}
+		return true
+	})
+	if got, _ := a.Table("kv").Get("k"); got != 1 {
+		t.Fatalf("write through the reset view reached store a: %v", got)
+	}
+
+	c := NewStore()
+	c.AddTable(NewHashTable("other"))
+	v.Reset(c, nil, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Get of a table the new store lacks did not panic")
+		}
+	}()
+	v.Get("kv", "k")
+}
