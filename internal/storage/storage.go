@@ -18,7 +18,8 @@ import (
 )
 
 // Table is a single-partition table. Implementations are not safe for
-// concurrent use; each partition is single-threaded by construction.
+// concurrent use, not even by concurrent readers (a BTreeTable's Get moves
+// its tree's finger); each partition is single-threaded by construction.
 type Table interface {
 	Name() string
 	Get(key string) (any, bool)
