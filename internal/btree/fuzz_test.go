@@ -17,11 +17,12 @@ import (
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xC3, 0x04, 0x45, 0x86, 0xC7})
 	f.Add([]byte{0xFF, 0xFE, 0xFD, 0x00, 0x01, 0x02, 0x80, 0x81, 0x82})
-	// Found a finger kept across a Delete: the delete empties the finger's
-	// leaf, and the next Get indexes past its end.
+	// Fails if a Delete keeps the finger: the delete empties the finger's
+	// leaf, and Check finds the finger's slot past the leaf's end.
 	f.Add([]byte{0x01, 0x41, 0x30, 0x30})
-	// Found a finger kept across an insert: the insert splits the finger's
-	// leaf, and the next Get indexes past the half the leaf kept.
+	// Fails if an insert keeps the finger: the 32nd insert splits the
+	// finger's leaf, and Check finds the finger's slot past the half the
+	// leaf kept.
 	f.Add([]byte{0x30, 0x31, 0x37, 0x38, 0x20, 0x22, 0x23, 0x26, 0x27, 0x25, 0x29,
 		0x2A, 0x2C, 0x2E, 0x0C, 0x13, 0x1A, 0x21, 0x28, 0x2F, 0x36, 0x3D, 0x01, 0x08,
 		0x0F, 0x16, 0x1D, 0x24, 0x2B, 0x32, 0x39, 0x3C, 0x30})
