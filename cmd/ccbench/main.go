@@ -5,7 +5,7 @@
 //	ccbench -list
 //	ccbench -experiment fig4
 //	ccbench -experiment all [-quick] [-csv | -json] [-seed 7]
-//	ccbench -experiment fig4 -quick -json -baseline BENCH_4.json -tolerance 0.25
+//	ccbench -experiment fig4 -quick -json -baseline BENCH_4.json
 //	ccbench -experiment fig4 -cpuprofile cpu.out -memprofile mem.out
 //	ccbench -experiment parallel-speedup -shards 4 -json
 //
@@ -26,9 +26,11 @@
 // (BENCHMARK.json).
 //
 // With -baseline, every cell is also compared against the named BENCH_*.json
-// file: a throughput more than -tolerance (fractional, default 0.25) below
-// the committed value fails the run with exit status 1. Cell throughputs are
-// virtual-time and deterministic, so the comparison is host-independent.
+// file: a throughput that differs from the committed value in either
+// direction, or a committed cell of a re-run experiment that the run did not
+// produce, fails the run with exit status 1. Cell throughputs are
+// virtual-time and deterministic, so the comparison is exact and
+// host-independent.
 package main
 
 import (
@@ -50,8 +52,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		shards     = flag.Int("shards", 0, "run microbenchmark cells on the sharded parallel runtime at this width (0 = plain single-threaded scheduler; TPC-C cells always stay plain)")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		baseline   = flag.String("baseline", "", "BENCH_*.json file to compare cell throughput against")
-		tolerance  = flag.Float64("tolerance", 0.25, "relative throughput drop vs -baseline that fails the run")
+		baseline   = flag.String("baseline", "", "BENCH_*.json file whose cell throughputs the run must reproduce exactly")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
 	)
@@ -104,11 +105,11 @@ func main() {
 	// run's exit code reaches os.Exit only after run's defers flushed the
 	// CPU profile — a regression that fails the baseline gate is exactly
 	// the run whose profile must survive.
-	os.Exit(run(exps, opts, base, *jsonOut, *csv, *tolerance, *baseline, *cpuprofile, *memprofile))
+	os.Exit(run(exps, opts, base, *jsonOut, *csv, *baseline, *cpuprofile, *memprofile))
 }
 
 func run(exps []bench.Experiment, opts bench.Opts, base []bench.BaselineCell,
-	jsonOut, csv bool, tolerance float64, baseline, cpuprofile, memprofile string) int {
+	jsonOut, csv bool, baseline, cpuprofile, memprofile string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -158,15 +159,15 @@ func run(exps []bench.Experiment, opts bench.Opts, base []bench.BaselineCell,
 	}
 
 	if base != nil {
-		if bad := bench.CompareBaseline(base, fresh, tolerance); len(bad) > 0 {
-			fmt.Fprintf(os.Stderr, "ccbench: %d regression(s) vs %s:\n", len(bad), baseline)
+		if bad := bench.CompareBaseline(base, fresh); len(bad) > 0 {
+			fmt.Fprintf(os.Stderr, "ccbench: %d difference(s) from %s:\n", len(bad), baseline)
 			for _, m := range bad {
 				fmt.Fprintf(os.Stderr, "  %s\n", m)
 			}
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "ccbench: %d cells within %.0f%% of %s\n",
-			len(fresh), tolerance*100, baseline)
+		fmt.Fprintf(os.Stderr, "ccbench: %d cells checked, every baseline cell matches %s\n",
+			len(fresh), baseline)
 	}
 	return 0
 }

@@ -219,9 +219,9 @@ func ExampleDB_SetScheme() {
 
 // ExampleWithParallelism runs one cluster at two shard widths. The sharded
 // runtime's contract is that the Result is independent of the width — the
-// event loop fans out over OS threads without perturbing a single event —
-// so the two runs agree bit for bit and only the runtime observability
-// (cross-shard traffic, busy split) differs.
+// event loop fans out over up to N goroutines without perturbing a single
+// event — so the two runs agree bit for bit and only the runtime
+// observability (cross-shard traffic, busy split) differs.
 func ExampleWithParallelism() {
 	run := func(shards int) specdb.Result {
 		reg := specdb.NewRegistry()

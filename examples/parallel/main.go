@@ -81,7 +81,10 @@ func main() {
 	fmt.Println()
 	fmt.Println("txns/s, p99 and events are identical at every width: the sharded")
 	fmt.Println("runtime is bit-deterministic. Only the cross-shard exchange volume")
-	fmt.Println("depends on placement. Wall-clock speedup tracks the host's cores.")
+	fmt.Println("depends on placement. Width is not yet a wall-clock speedup: on a")
+	fmt.Println("shared 2-vCPU Intel Xeon VM, benchmark/'s micro-sharded runs at width 2")
+	fmt.Println("at 0.77x its width-1 host txns/s (0.65x with one goroutine per shard")
+	fmt.Println("and a coordinator that only waits).")
 	fmt.Println()
 
 	// The horizon knob: the conservative window is the lookahead the shards

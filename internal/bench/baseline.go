@@ -22,10 +22,11 @@ type BaselineCell struct {
 	X          float64 `json:"x"`
 	Y          float64 `json:"y"`
 	// Shards is the runtime width behind the cell. Zero (baselines
-	// recorded before the sharded runtime existed) and one (the plain
-	// scheduler) share a key: throughputs on the two paths agree to well
-	// within any useful tolerance, and folding them keeps old BENCH_*.json
-	// files comparable.
+	// recorded before the sharded runtime existed) and one share a key, so
+	// old BENCH_*.json files stay comparable. One covers both the plain
+	// scheduler and the sharded runtime at width 1; their event tie-break
+	// orders differ, so a baseline recorded on one path fails the exact
+	// comparison on the other.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -80,17 +81,16 @@ func SeriesCells(e Experiment, series []Series) []BaselineCell {
 	return out
 }
 
-// CompareBaseline checks fresh cells against a committed baseline with a
-// relative tolerance band: a fresh y below (1−tol)·baseline y is a
-// regression (cells carry throughput, so only drops fail — improvements
-// raise the bar when the baseline file is regenerated). Baseline cells with
-// no fresh counterpart are errors only when their experiment was re-run:
-// a vanished cell would otherwise hide a regression, but comparing a
-// baseline of one experiment against a run of another must not demand cells
-// the run never produced. Fresh cells absent from the baseline pass — new
+// CompareBaseline checks fresh cells against a committed baseline exactly:
+// cell throughputs are virtual-time and deterministic, so any difference —
+// up or down — is a change in behaviour, and the baseline file must be
+// regenerated in the same commit that makes it. A baseline cell with no
+// fresh counterpart fails when its experiment was re-run (a vanished cell
+// would otherwise hide a change); cells of experiments the run did not
+// include are not demanded. Fresh cells absent from the baseline pass — new
 // experiments extend the grid. It returns one message per violation, in
 // fresh-cell order.
-func CompareBaseline(baseline, fresh []BaselineCell, tol float64) []string {
+func CompareBaseline(baseline, fresh []BaselineCell) []string {
 	base := make(map[string]BaselineCell, len(baseline))
 	for _, c := range baseline {
 		base[c.key()] = c
@@ -105,9 +105,9 @@ func CompareBaseline(baseline, fresh []BaselineCell, tol float64) []string {
 			continue
 		}
 		seen[f.key()] = true
-		if f.Y < (1-tol)*b.Y {
-			bad = append(bad, fmt.Sprintf("%s: %.1f is %.1f%% below baseline %.1f (tolerance %.0f%%)",
-				f.key(), f.Y, 100*(1-f.Y/b.Y), b.Y, 100*tol))
+		if f.Y != b.Y {
+			bad = append(bad, fmt.Sprintf("%s: %g differs from baseline %g by %+g",
+				f.key(), f.Y, b.Y, f.Y-b.Y))
 		}
 	}
 	for _, c := range baseline {

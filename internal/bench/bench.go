@@ -34,8 +34,8 @@ type Opts struct {
 	// the plain single-threaded scheduler. Width 1 is the sharded runtime's
 	// single-shard mode — deterministically equivalent to every other
 	// width, but with a different (also deterministic) event tie-break
-	// order than the plain scheduler, so baselines recorded on one path
-	// are only tolerance-compatible with the other. TPC-C cells ignore the
+	// order than the plain scheduler, so a baseline recorded on one path
+	// does not match the other exactly. TPC-C cells ignore the
 	// knob: tpcc.Mix keeps state across clients and is restricted to the
 	// plain path.
 	Shards int

@@ -155,29 +155,41 @@ func TestCompareBaseline(t *testing.T) {
 		{"fig4", "Speculation", 50, 500, 0},
 		{"fig9", "Locking", 0, 800, 0},
 	}
-	// Within tolerance, above baseline, and a baseline-only cell from an
-	// experiment that was not re-run: all pass.
+	// An exact match, plus a baseline-only cell from an experiment that was
+	// not re-run and a fresh cell the baseline lacks: all pass.
 	// Fresh cells carry Shards 1 (the plain scheduler): they must fold onto
 	// the pre-sharding baseline's zero-valued cells.
 	fresh := []BaselineCell{
-		{"fig4", "Speculation", 0, 800, 1},
-		{"fig4", "Speculation", 50, 700, 1},
+		{"fig4", "Speculation", 0, 1000, 1},
+		{"fig4", "Speculation", 50, 500, 1},
 		{"fig4", "NewSeries", 0, 1, 1}, // not in baseline: ignored
 	}
-	if bad := CompareBaseline(base, fresh, 0.25); len(bad) != 0 {
-		t.Fatalf("unexpected regressions: %v", bad)
+	if bad := CompareBaseline(base, fresh); len(bad) != 0 {
+		t.Fatalf("unexpected differences: %v", bad)
 	}
-	// A drop beyond tolerance fails.
-	fresh[0].Y = 700
-	bad := CompareBaseline(base, fresh, 0.25)
-	if len(bad) != 1 || !strings.Contains(bad[0], "fig4/Speculation/x=0") {
-		t.Fatalf("regressions = %v, want one for fig4/Speculation/x=0", bad)
+	// A difference in either direction fails, down to one transaction per
+	// second.
+	for _, y := range []float64{700, 999, 1001} {
+		fresh[0].Y = y
+		bad := CompareBaseline(base, fresh)
+		if len(bad) != 1 || !strings.Contains(bad[0], "fig4/Speculation/x=0") {
+			t.Fatalf("y=%g: differences = %v, want one for fig4/Speculation/x=0", y, bad)
+		}
 	}
-	// A baseline cell that vanished from a re-run experiment fails.
 	fresh[0].Y = 1000
-	bad = CompareBaseline(base, fresh[:1], 0.25)
-	if len(bad) != 1 || !strings.Contains(bad[0], "missing from fresh run") {
-		t.Fatalf("regressions = %v, want one missing-cell failure", bad)
+	// A baseline cell that vanished from a re-run experiment fails.
+	bad := CompareBaseline(base, fresh[:1])
+	if len(bad) != 1 || !strings.Contains(bad[0], "fig4/Speculation/x=50") ||
+		!strings.Contains(bad[0], "missing from fresh run") {
+		t.Fatalf("differences = %v, want one missing-cell failure for x=50", bad)
+	}
+	// So does one the run produced only at another width: the width is part
+	// of the cell's identity.
+	wide := append([]BaselineCell(nil), fresh...)
+	wide[1].Shards = 2
+	bad = CompareBaseline(base, wide)
+	if len(bad) != 1 || !strings.Contains(bad[0], "fig4/Speculation/x=50/shards=1: baseline cell missing") {
+		t.Fatalf("differences = %v, want one missing-cell failure for the width-1 cell", bad)
 	}
 }
 
@@ -210,7 +222,7 @@ func TestBaselineKeyStabilityElasticCells(t *testing.T) {
 	if a.key() != b.key() {
 		t.Fatalf("migration payload leaked into the cell key: %q vs %q", a.key(), b.key())
 	}
-	if bad := CompareBaseline([]BaselineCell{a}, []BaselineCell{b}, 0.01); len(bad) != 0 {
+	if bad := CompareBaseline([]BaselineCell{a}, []BaselineCell{b}); len(bad) != 0 {
 		t.Fatalf("same-throughput cells flagged: %v", bad)
 	}
 	other := a
@@ -222,7 +234,7 @@ func TestBaselineKeyStabilityElasticCells(t *testing.T) {
 
 // TestCommittedBaselinesRoundTrip re-encodes the repository's committed
 // BENCH_*.json baselines through the NDJSON cell format and compares the
-// round trip against the original at zero tolerance: the format changes that
+// round trip against the original exactly: the format changes that
 // added migration columns must not disturb a single committed cell.
 func TestCommittedBaselinesRoundTrip(t *testing.T) {
 	for _, name := range []string{"BENCH_4.json", "BENCH_8.json"} {
@@ -249,10 +261,10 @@ func TestCommittedBaselinesRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bad := CompareBaseline(orig, again, 0); len(bad) != 0 {
+			if bad := CompareBaseline(orig, again); len(bad) != 0 {
 				t.Fatalf("round trip vs original: %v", bad)
 			}
-			if bad := CompareBaseline(again, orig, 0); len(bad) != 0 {
+			if bad := CompareBaseline(again, orig); len(bad) != 0 {
 				t.Fatalf("original vs round trip: %v", bad)
 			}
 		})

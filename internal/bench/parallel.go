@@ -13,7 +13,7 @@ import (
 // Y is virtual-time throughput, which the runtime's determinism contract
 // requires to be identical at every width — a flat line is the correct
 // result, and the committed baseline (BENCH_8.json) gates exactly that.
-// What fanning the event loop over OS threads costs or saves on the host is
+// What fanning the event loop over up to N goroutines costs or saves on the host is
 // not visible here: the benchmark/ module's micro-sharded workload measures
 // it (host_txn_per_s, host.cpu_ns_per_txn, sim.barriers_per_txn).
 func ParallelSpeedup() Experiment {

@@ -22,7 +22,6 @@ package client
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"specdb/internal/core"
 	"specdb/internal/costs"
@@ -596,12 +595,4 @@ func (c *Client) finish(ctx *sim.Context, a *attempt, r *msg.ClientReply) {
 		return
 	}
 	c.issueNext(ctx)
-}
-
-// SortPartitions returns plan partitions in ascending order (helper shared
-// with tests).
-func SortPartitions(parts []msg.PartitionID) []msg.PartitionID {
-	out := append([]msg.PartitionID(nil), parts...)
-	slices.Sort(out)
-	return out
 }

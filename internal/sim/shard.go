@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -9,10 +10,12 @@ import (
 // synchronized by conservative time-window barriers.
 //
 // Every actor is assigned to exactly one shard; a shard owns a private 4-ary
-// event heap and clock and delivers its actors' events on its own goroutine.
-// Execution proceeds in windows [low, low+Horizon): all shards deliver their
-// events with at < bound in parallel, then a barrier exchanges the
-// cross-shard sends produced during the window, and the next window begins.
+// event heap and clock and delivers its actors' events on one goroutine at a
+// time. Execution proceeds in windows [low, low+Horizon): the shards deliver
+// their events with at < bound in parallel — the goroutine that called Run
+// runs shards itself and up to width−1 helpers take the rest (see
+// runHelpFirst) — then a barrier exchanges the cross-shard sends produced
+// during the window, and the next window begins.
 // A cross-shard send executed inside a window starting at W departs at local
 // time >= W and travels with latency >= Horizon, so it arrives at >= W +
 // Horizon — at or after the bound — and is always merged at the barrier
@@ -43,7 +46,12 @@ type ShardedScheduler struct {
 	low      Time
 	stopped  bool
 	stopReq  atomic.Bool
-	inWindow bool // true while worker goroutines own the shards
+	inWindow bool // true while a window's shards are running
+
+	// Help-first window state at width > 1; see runHelpFirst.
+	claim      atomic.Int32  // next shard index of the window to hand out
+	unfinished atomic.Int32  // unfinished shards of the window, plus the caller's ticket
+	done       chan struct{} // wakes the parked caller; capacity 1
 
 	barriers  uint64
 	crossMsgs uint64
@@ -82,9 +90,9 @@ type shardActor struct {
 }
 
 // shard is one event loop: a heap, a clock, and the Context its actors see.
-// During a window it is owned exclusively by its worker goroutine; between
-// windows the coordinating goroutine owns all shards (the channel
-// synchronization around each window establishes the happens-before edges).
+// During a window it is owned exclusively by the goroutine that claimed it;
+// between windows the goroutine that called Run owns all shards (the atomic
+// claim and unfinished counters establish the happens-before edges).
 type shard struct {
 	h         shardHeap
 	now       Time
@@ -95,6 +103,8 @@ type shard struct {
 	outbox    [][]shardEvent
 	ctx       Context
 	kern      shardKernel
+	popped    int // events popped in the last window, for Run's total
+	panicked  any // handler panic captured in the last window
 }
 
 type shardKernel struct {
@@ -114,7 +124,8 @@ func NewSharded(width int, horizon Time) *ShardedScheduler {
 	if horizon <= 0 {
 		panic("sim: NewSharded horizon must be positive")
 	}
-	s := &ShardedScheduler{width: width, horizon: horizon, shards: make([]shard, width)}
+	s := &ShardedScheduler{width: width, horizon: horizon, shards: make([]shard, width),
+		done: make(chan struct{}, 1)}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.kern = shardKernel{s: s, si: i}
@@ -168,9 +179,6 @@ func (s *ShardedScheduler) Assign(id ActorID, shard int) {
 	}
 	a.shard = int32(shard)
 }
-
-// ShardOf returns the shard an actor is assigned to.
-func (s *ShardedScheduler) ShardOf(id ActorID) int { return int(s.actor(id).shard) }
 
 // Handler returns the handler registered for id.
 func (s *ShardedScheduler) Handler(id ActorID) Handler { return s.actor(id).handler }
@@ -437,35 +445,33 @@ func (s *ShardedScheduler) exchange() {
 	s.crossMsgs += moved
 }
 
-// windowResult carries one shard's window outcome back to the coordinator.
-type windowResult struct {
-	n        int
-	panicked any
-}
-
 // Run processes events in windows until the queue is empty, the next event's
 // delivery time exceeds until, or Stop is called (taking effect at a window
 // boundary). It returns the number of events processed. The window sequence
 // — and therefore every observable outcome — is identical at every width.
+//
+// At width > 1 Run starts width−1 helper goroutines that live until it
+// returns, normally or by re-raising a handler panic.
 func (s *ShardedScheduler) Run(until Time) int {
 	if s.stopped || s.stopReq.Load() {
 		s.stopped = true
 		return 0
 	}
 	total := 0
-	var jobs []chan Time
-	var done chan windowResult
+	var wake []chan struct{}
 	if s.width > 1 {
-		jobs = make([]chan Time, s.width)
-		done = make(chan windowResult, s.width)
-		for i := range jobs {
-			jobs[i] = make(chan Time, 1)
-			go s.worker(i, jobs[i], done)
+		var helpers sync.WaitGroup
+		wake = make([]chan struct{}, s.width-1)
+		for i := range wake {
+			wake[i] = make(chan struct{}, 1)
+			helpers.Add(1)
+			go s.helper(wake[i], &helpers)
 		}
 		defer func() {
-			for i := range jobs {
-				close(jobs[i])
+			for _, w := range wake {
+				close(w)
 			}
+			helpers.Wait()
 		}()
 	}
 	for {
@@ -487,19 +493,8 @@ func (s *ShardedScheduler) Run(until Time) int {
 		if s.width == 1 {
 			total += s.runWindow(0, bound)
 		} else {
-			s.inWindow = true
-			for i := range jobs {
-				jobs[i] <- bound
-			}
-			var pan any
-			for i := 0; i < s.width; i++ {
-				r := <-done
-				total += r.n
-				if r.panicked != nil {
-					pan = r.panicked
-				}
-			}
-			s.inWindow = false
+			n, pan := s.runHelpFirst(wake)
+			total += n
 			if pan != nil {
 				panic(pan)
 			}
@@ -514,18 +509,89 @@ func (s *ShardedScheduler) Run(until Time) int {
 	return total
 }
 
-// worker is one shard's event loop for the duration of a Run call: it waits
-// for a window bound, runs the window, and reports back. Panics inside
-// handlers are captured and re-raised by the coordinator after the barrier,
-// so sibling shards finish their window and the runtime stays consistent.
-func (s *ShardedScheduler) worker(si int, jobs <-chan Time, done chan<- windowResult) {
-	for bound := range jobs {
-		var r windowResult
-		func() {
-			defer func() { r.panicked = recover() }()
-			r.n = s.runWindow(si, bound)
-		}()
-		done <- r
+// runHelpFirst runs one window at width > 1 and returns the events popped
+// and the panic of the lowest-index shard that panicked, if any.
+//
+// Windows are short — a few events per shard — so the calling goroutine
+// does not hand them off and wait: it publishes the window, wakes the
+// helpers without blocking, and then claims and runs shards itself until
+// none is left. A helper claims only what the caller has not reached yet; one
+// that wakes after every shard is claimed finds nothing and goes back to
+// sleep. The caller parks only if a helper still runs a claimed shard.
+//
+// The claim index and the unfinished count carry every happens-before edge:
+// the caller's reset of claim publishes the window's bound and shard state
+// to whoever claims, and each runner's decrement of unfinished publishes its
+// shard's results to the goroutine that sees the count reach zero.
+//
+// The count starts at width+1: one per shard and one ticket the caller
+// gives back after its own claiming loop. Exactly one decrement sees zero.
+// If it is the caller's, every shard has finished; otherwise the caller
+// parks and the runner that saw zero sends the done token. Either way the
+// caller leaves only after the window's last decrement, so no runner of
+// this window can touch a later window's count.
+func (s *ShardedScheduler) runHelpFirst(wake []chan struct{}) (int, any) {
+	s.inWindow = true
+	// unfinished before claim: a helper still looping from the previous
+	// window must not claim a new shard before the count covers it.
+	s.unfinished.Store(int32(s.width) + 1)
+	s.claim.Store(0)
+	for _, w := range wake {
+		select {
+		case w <- struct{}{}:
+		default: // an earlier token is still pending; its wake finds this window
+		}
+	}
+	s.runClaimed()
+	if s.unfinished.Add(-1) != 0 {
+		<-s.done // a helper still runs a claimed shard
+	}
+	s.inWindow = false
+	n := 0
+	var pan any
+	for i := range s.shards {
+		sh := &s.shards[i]
+		n += sh.popped
+		if pan == nil {
+			pan = sh.panicked
+		}
+		sh.panicked = nil
+	}
+	return n, pan
+}
+
+// runClaimed claims shards of the current window and runs them until every
+// shard is claimed. A runner whose decrement brings the count to zero
+// finished the window's last shard after the caller gave back its ticket,
+// so it sends the parked caller the done token.
+func (s *ShardedScheduler) runClaimed() {
+	for {
+		si := int(s.claim.Add(1)) - 1
+		if si >= s.width {
+			return
+		}
+		s.runShard(si)
+		if s.unfinished.Add(-1) == 0 {
+			s.done <- struct{}{}
+		}
+	}
+}
+
+// runShard runs one shard's window, capturing a handler panic so that the
+// other shards finish their window and the runtime stays consistent; Run
+// re-raises it after the window.
+func (s *ShardedScheduler) runShard(si int) {
+	sh := &s.shards[si]
+	defer func() { sh.panicked = recover() }()
+	sh.popped = s.runWindow(si, sh.bound)
+}
+
+// helper runs claimed shards each time it is woken, until Run closes its
+// wake channel.
+func (s *ShardedScheduler) helper(wake <-chan struct{}, helpers *sync.WaitGroup) {
+	defer helpers.Done()
+	for range wake {
+		s.runClaimed()
 	}
 }
 

@@ -3,8 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // chatter is a deterministic traffic generator actor for width-equivalence
@@ -258,6 +261,123 @@ func TestShardedCrossShardKillPanics(t *testing.T) {
 		}
 	}()
 	s.Drain()
+}
+
+// panicWindow builds a runtime with one actor per shard, each with one event
+// in the first window, so that every shard has work in that window. The
+// actors on the shards listed in bad panic with "shard i"; the one on shard
+// slow first sleeps for a millisecond of wall time, so that it finishes last
+// whichever goroutine runs it.
+func panicWindow(width, slow int, bad ...int) *ShardedScheduler {
+	s := NewSharded(width, 20*Microsecond)
+	for i := 0; i < width; i++ {
+		i := i
+		id := s.Register(fmt.Sprintf("a%d", i), HandlerFunc(func(ctx *Context, m Message) {
+			ctx.Spend(Microsecond)
+			if i == slow {
+				time.Sleep(time.Millisecond)
+			}
+			if slices.Contains(bad, i) {
+				panic(fmt.Sprintf("shard %d", i))
+			}
+		}))
+		s.Assign(id, i)
+		s.SendAt(Microsecond, id, "go")
+	}
+	return s
+}
+
+// drainPanic drains s and returns the panic value Drain re-raised, if any.
+func drainPanic(s *ShardedScheduler) (p any) {
+	defer func() { p = recover() }()
+	s.Drain()
+	return nil
+}
+
+// TestShardedPanicOnAnyShard pins that a handler panic is re-raised by Run
+// whichever shard it happens on and whichever goroutine runs that shard —
+// the caller or a helper — and only after every other shard has finished
+// its window.
+func TestShardedPanicOnAnyShard(t *testing.T) {
+	for width := 2; width <= 4; width++ {
+		for bad := 1; bad < width; bad++ {
+			s := panicWindow(width, bad, bad)
+			want := fmt.Sprintf("shard %d", bad)
+			if p := drainPanic(s); p != want {
+				t.Errorf("width %d: Run re-raised %v, want %q", width, p, want)
+			}
+			// The panicking delivery is never counted; every other shard
+			// delivered its event before Run re-raised.
+			if got := s.DeliveredCount(); got != uint64(width-1) {
+				t.Errorf("width %d, panic on shard %d: delivered %d, want %d", width, bad, got, width-1)
+			}
+		}
+	}
+}
+
+// TestShardedLowestPanicWins pins which panic Run re-raises when several
+// shards panic in one window: the lowest-index one's, however the shards
+// were spread over goroutines and in whatever order they finished.
+func TestShardedLowestPanicWins(t *testing.T) {
+	for _, tc := range []struct {
+		slow int
+		bad  []int
+	}{
+		{slow: 3, bad: []int{1, 3}},
+		{slow: 1, bad: []int{1, 3}},
+		{slow: 3, bad: []int{0, 3}},
+		{slow: 2, bad: []int{2, 3}},
+	} {
+		want := fmt.Sprintf("shard %d", tc.bad[0])
+		for rep := 0; rep < 20; rep++ {
+			if p := drainPanic(panicWindow(4, tc.slow, tc.bad...)); p != want {
+				t.Fatalf("panics on shards %v, slow shard %d: Run re-raised %v, want %q",
+					tc.bad, tc.slow, p, want)
+			}
+		}
+	}
+}
+
+// TestShardedNoGoroutineOutlivesRun pins that Run's helper goroutines are
+// gone once it returns: after a normal drain, after a stop at a barrier, and
+// after a re-raised panic.
+func TestShardedNoGoroutineOutlivesRun(t *testing.T) {
+	settle := func(name string, before int) {
+		t.Helper()
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Errorf("%s: %d goroutines after Run, %d before", name, runtime.NumGoroutine(), before)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	s, _ := buildChatter(4, 8, 6, 20*Microsecond, true)
+	before := runtime.NumGoroutine()
+	if s.Drain() == 0 {
+		t.Fatal("drain processed nothing")
+	}
+	settle("drain", before)
+
+	s, _ = buildChatter(4, 8, 6, 20*Microsecond, false)
+	stopper := s.Register("stopper", HandlerFunc(func(ctx *Context, m Message) { ctx.Stop() }))
+	s.Assign(stopper, 3)
+	s.SendAt(100*Microsecond, stopper, "stop")
+	before = runtime.NumGoroutine()
+	s.Drain()
+	if !s.Stopped() || s.Empty() {
+		t.Fatal("run did not stop at a barrier with events left")
+	}
+	settle("stop", before)
+
+	s = panicWindow(4, 2, 2)
+	before = runtime.NumGoroutine()
+	if drainPanic(s) == nil {
+		t.Fatal("no panic re-raised")
+	}
+	settle("panic", before)
 }
 
 // livePendingScan is the brute-force oracle for the cached Pending count: it

@@ -25,11 +25,6 @@ func DefaultScale() Scale {
 	return Scale{Items: 1000, StockPerWarehouse: 1000, CustomersPerDist: 120, InitialOrders: 30}
 }
 
-// FullScale matches the TPC-C specification sizes.
-func FullScale() Scale {
-	return Scale{Items: 100000, StockPerWarehouse: 100000, CustomersPerDist: 3000, InitialOrders: 3000}
-}
-
 // lastNameSyllables is the TPC-C last-name generator table (clause 4.3.2.3).
 var lastNameSyllables = [10]string{
 	"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",

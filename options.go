@@ -486,10 +486,10 @@ func WithDurability(cfg DurabilityConfig) Option {
 
 // ParallelismConfig configures the sharded parallel runtime.
 type ParallelismConfig struct {
-	// Shards is the number of event-loop shards (OS threads). Each shard
-	// owns a disjoint group of partition/replica/disk actors plus a slice of
-	// clients; the coordinator and fault controller live on shard 0. Must be
-	// at least 1. Shards == 1 runs the identical windowed algorithm on one
+	// Shards is the number of event-loop shards, run by up to Shards
+	// goroutines. Each shard owns a disjoint group of partition/replica/disk
+	// actors plus a slice of clients; the coordinator and fault controller
+	// live on shard 0. Must be at least 1. Shards == 1 runs the identical windowed algorithm on one
 	// goroutine and is the determinism baseline: a run at any width is
 	// bit-identical to it.
 	Shards int

@@ -220,11 +220,11 @@ func TestOracleFlagsPhantomScans(t *testing.T) {
 // runtime: every scheme at Shards=4 over the conflict-heavy micro mix.
 // Histories are recorded by the partition actors themselves, so recording
 // is shard-local and needs no changes; what this pins is that fanning the
-// event loop over OS threads preserves a serializable commit order. The
-// bounded Limit generator keeps shared state across clients and is
-// restricted to the plain path, so the run is bounded by a measured window
-// instead and drained to quiescence through an empty script before the
-// stores are compared.
+// event loop over up to four goroutines preserves a serializable commit
+// order. The bounded Limit generator keeps shared state across clients and
+// is restricted to the plain path, so the run is bounded by a measured
+// window instead and drained to quiescence through an empty script before
+// the stores are compared.
 func TestOracleShardedAllSchemes(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {
